@@ -64,17 +64,25 @@ enum class LockRank : int {
   /// Store coarse guard (AllInGraphStore / PolyglotStore reader-writer
   /// lock over graph + series maps).
   kStoreCoarse = 20,
+  /// PolyglotStore publication mutex: guards the published snapshot it
+  /// hands out while nothing changes. Taken under the coarse guard (shared
+  /// in BeginSnapshot, exclusive when the graph or the maps change), held
+  /// across the hypertable's publish.
+  kStorePublish = 25,
   /// Hypertable series-map lock (exclusive only in Create).
   kSeriesMap = 30,
+  /// Hypertable publication mutex: serializes Fork()'s republish, which
+  /// takes the shard lock of every series written since the last one.
+  kSeriesPublish = 35,
   /// Per-series shard lock (one SharedMutex per series).
   kSeriesShard = 40,
-  /// Worker-pool queue mutex (common/thread_pool.h). Sits between the shard
-  /// lock and the leaf ranks: fan-out happens after every shard lock is
-  /// released (morsels run over pinned, immutable chunks), and morsel
-  /// bodies may still take the leaf aggregate-cache mutex.
+  /// Hypertable written-series list: writers queue a series for the next
+  /// publish on its first write since the last one, shard lock held.
+  kSeriesWritten = 42,
+  /// Worker-pool queue mutex (common/thread_pool.h). Sits below the shard
+  /// lock: fan-out happens after every shard lock is released (morsels run
+  /// over pinned, immutable chunks).
   kThreadPool = 45,
-  /// Per-chunk aggregate-cache mutex (double-checked fill).
-  kAggCache = 50,
   /// Cold-tier segment/cache state (storage/segment). Acquirable under a
   /// series shard lock (spill writes and lazy pins happen while the shard
   /// is held or while decoding pinned chunks) and under durable.append_mu_
@@ -99,14 +107,18 @@ constexpr const char* LockRankName(LockRank rank) {
       return "durable.wal_sync_mu";
     case LockRank::kStoreCoarse:
       return "store.coarse_guard";
+    case LockRank::kStorePublish:
+      return "store.publish_mu";
     case LockRank::kSeriesMap:
       return "hypertable.series_map_mu";
+    case LockRank::kSeriesPublish:
+      return "hypertable.publish_mu";
     case LockRank::kSeriesShard:
       return "hypertable.series_shard_mu";
+    case LockRank::kSeriesWritten:
+      return "hypertable.written_mu";
     case LockRank::kThreadPool:
       return "thread_pool.queue_mu";
-    case LockRank::kAggCache:
-      return "hypertable.agg_cache_mu";
     case LockRank::kColdTier:
       return "segment_store.state_mu";
     case LockRank::kEnvState:
@@ -189,8 +201,8 @@ void AcquireTimed(const SyncInstruments& in, obs::Counter* acquisitions,
 #if HYGRAPH_LOCK_RANK_CHECKS_ENABLED_
 
 /// Thread-local stack of ranked locks this thread currently holds. Fixed
-/// capacity: the real hierarchy is 6 deep; 64 leaves room for pathological
-/// tests without ever allocating on a lock path.
+/// capacity: the real hierarchy is under 10 deep; 64 leaves room for
+/// pathological tests without ever allocating on a lock path.
 struct HeldLockStack {
   static constexpr size_t kCapacity = 64;
   struct Entry {

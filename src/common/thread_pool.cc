@@ -108,6 +108,7 @@ void ThreadPool::WorkerLoop() {
           if (candidate->helper_slots.fetch_sub(
                   1, std::memory_order_relaxed) > 0) {
             job = candidate;
+            job->attached.fetch_add(1, std::memory_order_relaxed);
             break;
           }
           candidate->helper_slots.fetch_add(1, std::memory_order_relaxed);
@@ -127,11 +128,16 @@ void ThreadPool::WorkerLoop() {
         job->stats.worker_busy_nanos->Add(busy);
       }
     }
-    if (job->retired.load(std::memory_order_acquire) >= job->n) {
-      // Last retiree wakes the publishing caller; taking the queue mutex
-      // first makes the wakeup race-free against the caller's wait check.
+    {
+      // Detach under the queue mutex, after the last use of job->stats:
+      // the stats point into a registry the caller may destroy as soon as
+      // ParallelFor returns. The last detacher of a retired job wakes it.
       MutexLock lock(mu_);
-      join_cv_.notify_all();
+      job->attached.fetch_sub(1, std::memory_order_relaxed);
+      if (job->retired.load(std::memory_order_acquire) >= job->n &&
+          job->attached.load(std::memory_order_relaxed) == 0) {
+        join_cv_.notify_all();
+      }
     }
   }
 }
@@ -173,7 +179,8 @@ Status ThreadPool::ParallelFor(size_t morsels, size_t max_parallelism,
 
   {
     MutexLock lock(mu_);
-    while (job->retired.load(std::memory_order_acquire) < job->n) {
+    while (job->retired.load(std::memory_order_acquire) < job->n ||
+           job->attached.load(std::memory_order_relaxed) > 0) {
       join_cv_.wait(mu_);
     }
     for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {

@@ -48,10 +48,10 @@ struct ParallelForStats {
 /// drains the cursor until the job is exhausted or a morsel fails; the
 /// first non-OK Status wins, later claims are abandoned (their morsels are
 /// retired unrun), and the caller returns after a single join barrier when
-/// every claimed morsel has retired.
+/// every claimed morsel has retired and every helper has detached.
 ///
-/// Locking: the queue mutex is ranked (LockRank::kThreadPool, between the
-/// per-series shard lock and the leaf aggregate-cache mutex) and is NEVER
+/// Locking: the queue mutex is ranked (LockRank::kThreadPool, below the
+/// per-series shard lock and the written-series list) and is NEVER
 /// held while a morsel body runs, so bodies are free to take any lock the
 /// hierarchy allows a plain thread. Bodies run on threads with no
 /// thread-local QueryContext installed: governance inside a morsel goes
@@ -83,7 +83,8 @@ class ThreadPool {
   /// Runs body(i) for every i in [0, morsels); the calling thread
   /// participates. At most `max_parallelism` threads (including the
   /// caller) execute concurrently; 0 means "no cap beyond pool size".
-  /// Returns the first morsel failure, after all claimed morsels retired.
+  /// Returns the first morsel failure, after all claimed morsels retired
+  /// and every helper has finished recording into `stats`.
   Status ParallelFor(size_t morsels, size_t max_parallelism,
                      const std::function<Status(size_t)>& body,
                      const ParallelForStats& stats = {});
@@ -102,6 +103,8 @@ class ThreadPool {
     std::atomic<size_t> retired{0};  // morsels finished (run or abandoned)
     std::atomic<bool> failed{false};
     std::atomic<int> helper_slots{0};  // helpers still allowed to attach
+    // Helpers attached and not yet done with `stats`; changed under mu_.
+    std::atomic<int> attached{0};
     Status error;  // written by the failed.exchange winner, read post-join
   };
 

@@ -162,8 +162,7 @@ class AllInGraphSnapshot final : public query::QueryBackend {
 }  // namespace
 
 AllInGraphStore::AllInGraphStore()
-    : graph_(std::make_shared<graph::PropertyGraph>()),
-      metrics_(std::make_unique<obs::MetricsRegistry>()),
+    : metrics_(std::make_unique<obs::MetricsRegistry>()),
       properties_scanned_(metrics_->counter("allingraph.properties_scanned")),
       samples_parsed_(metrics_->counter("allingraph.samples_parsed")),
       snapshot_pins_(metrics_->counter("concurrency.snapshot_pins")),
@@ -185,11 +184,7 @@ const graph::PropertyGraph& AllInGraphStore::topology() const {
 }
 
 graph::PropertyGraph* AllInGraphStore::Detach() {
-  if (graph_.use_count() > 1) {
-    graph_ = std::make_shared<graph::PropertyGraph>(*graph_);
-    topology_cow_copies_->Increment();
-  }
-  return graph_.get();
+  return graph_.Mutable(topology_cow_copies_);
 }
 
 graph::PropertyGraph* AllInGraphStore::mutable_topology() {
@@ -207,7 +202,7 @@ std::shared_ptr<const query::QueryBackend> AllInGraphStore::BeginSnapshot()
     const {
   SharedLock lock(*topo_mu_);
   snapshot_pins_->Increment();
-  return std::make_shared<AllInGraphSnapshot>(graph_, metrics_.get(),
+  return std::make_shared<AllInGraphSnapshot>(graph_.Pin(), metrics_.get(),
                                               properties_scanned_,
                                               samples_parsed_);
 }

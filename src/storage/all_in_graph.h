@@ -7,6 +7,7 @@
 
 #include "common/sync.h"
 #include "query/backend.h"
+#include "storage/cow_graph.h"
 
 namespace hygraph::storage {
 
@@ -58,8 +59,9 @@ class AllInGraphStore final : public query::QueryBackend {
   Status MutateTopology(
       const std::function<Status(graph::PropertyGraph*)>& fn) override;
 
-  /// Pins the current graph as an immutable read view (O(1): bumps a
-  /// refcount). Mutators afterwards detach onto a fresh copy.
+  /// Pins the current graph as an immutable read view (O(1): one pin
+  /// count and refcount). Mutators detach onto a fresh copy while the
+  /// view lives.
   std::shared_ptr<const query::QueryBackend> BeginSnapshot() const override;
 
   /// "allingraph.*" work counters: properties examined and samples parsed
@@ -98,7 +100,7 @@ class AllInGraphStore final : public query::QueryBackend {
   /// view keeps the pre-mutation state.
   graph::PropertyGraph* Detach() HYGRAPH_REQUIRES(*topo_mu_);
 
-  std::shared_ptr<graph::PropertyGraph> graph_ HYGRAPH_GUARDED_BY(*topo_mu_);
+  CowGraph graph_ HYGRAPH_GUARDED_BY(*topo_mu_);
   // Heap-held so the cached counter pointers survive moves of the store.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* properties_scanned_ = nullptr;

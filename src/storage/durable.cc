@@ -1044,6 +1044,32 @@ Result<double> DurableStore::EdgeSeriesAggregate(graph::EdgeId e,
   return inner_->EdgeSeriesAggregate(e, key, interval, kind);
 }
 
+std::vector<Result<double>> DurableStore::VertexSeriesAggregateBatch(
+    const std::vector<graph::VertexId>& vertices, const std::string& key,
+    const Interval& interval, ts::AggKind kind) const {
+  return inner_->VertexSeriesAggregateBatch(vertices, key, interval, kind);
+}
+
+std::vector<Result<double>> DurableStore::EdgeSeriesAggregateBatch(
+    const std::vector<graph::EdgeId>& edges, const std::string& key,
+    const Interval& interval, ts::AggKind kind) const {
+  return inner_->EdgeSeriesAggregateBatch(edges, key, interval, kind);
+}
+
+Result<size_t> DurableStore::VertexSeriesCountInRange(
+    graph::VertexId v, const std::string& key, const Interval& interval,
+    double min_value, double max_value) const {
+  return inner_->VertexSeriesCountInRange(v, key, interval, min_value,
+                                          max_value);
+}
+
+Result<size_t> DurableStore::EdgeSeriesCountInRange(
+    graph::EdgeId e, const std::string& key, const Interval& interval,
+    double min_value, double max_value) const {
+  return inner_->EdgeSeriesCountInRange(e, key, interval, min_value,
+                                        max_value);
+}
+
 Result<ts::Series> DurableStore::VertexSeriesWindowAggregate(
     graph::VertexId v, const std::string& key, const Interval& interval,
     Duration width, ts::AggKind kind) const {

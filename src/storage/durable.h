@@ -208,6 +208,22 @@ class DurableStore final : public query::QueryBackend {
   Result<double> EdgeSeriesAggregate(graph::EdgeId e, const std::string& key,
                                      const Interval& interval,
                                      ts::AggKind kind) const override;
+  std::vector<Result<double>> VertexSeriesAggregateBatch(
+      const std::vector<graph::VertexId>& vertices, const std::string& key,
+      const Interval& interval, ts::AggKind kind) const override;
+  std::vector<Result<double>> EdgeSeriesAggregateBatch(
+      const std::vector<graph::EdgeId>& edges, const std::string& key,
+      const Interval& interval, ts::AggKind kind) const override;
+  Result<size_t> VertexSeriesCountInRange(graph::VertexId v,
+                                          const std::string& key,
+                                          const Interval& interval,
+                                          double min_value,
+                                          double max_value) const override;
+  Result<size_t> EdgeSeriesCountInRange(graph::EdgeId e,
+                                        const std::string& key,
+                                        const Interval& interval,
+                                        double min_value,
+                                        double max_value) const override;
   Result<ts::Series> VertexSeriesWindowAggregate(
       graph::VertexId v, const std::string& key, const Interval& interval,
       Duration width, ts::AggKind kind) const override;

@@ -98,20 +98,23 @@ query::BackendWork WorkFromStats(const ts::HypertableStats& stats) {
   return w;
 }
 
-/// A pinned read view: the graph by refcount, the (entity, key) maps by
-/// copy, and the hypertable by an O(series) fork whose chunk vectors are
-/// shared until the origin writes. The fork shares the origin's registry,
-/// so Work()/PROFILE attribution keeps working across a snapshot.
+}  // namespace
+
+/// A published version: the graph, the (entity, key) maps and the
+/// hypertable's version, all immutable and held by pointer. The hypertable
+/// version shares the origin's registry, so Work()/PROFILE attribution
+/// keeps working across a snapshot.
 class PolyglotSnapshot final : public query::QueryBackend {
  public:
   PolyglotSnapshot(std::shared_ptr<const graph::PropertyGraph> graph,
-                   PolyglotStore::SeriesMap vertex_series,
-                   PolyglotStore::SeriesMap edge_series,
+                   std::shared_ptr<const PolyglotStore::SeriesMaps> maps,
                    std::shared_ptr<const ts::HypertableStore> series)
       : graph_(std::move(graph)),
-        vertex_series_(std::move(vertex_series)),
-        edge_series_(std::move(edge_series)),
+        maps_(std::move(maps)),
         series_(std::move(series)) {}
+
+  /// The hypertable version this snapshot reads.
+  const ts::HypertableStore* series() const { return series_.get(); }
 
   std::string name() const override { return "polyglot"; }
   const graph::PropertyGraph& topology() const override { return *graph_; }
@@ -134,13 +137,13 @@ class PolyglotSnapshot final : public query::QueryBackend {
   Result<ts::Series> VertexSeriesRange(
       graph::VertexId v, const std::string& key,
       const Interval& interval) const override {
-    auto sid = ResolveIn(vertex_series_, v, key);
+    auto sid = ResolveIn(maps_->vertex, v, key);
     if (!sid.ok()) return ts::Series(key);
     return series_->Materialize(*sid, interval);
   }
   Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
                                      const Interval& interval) const override {
-    auto sid = ResolveIn(edge_series_, e, key);
+    auto sid = ResolveIn(maps_->edge, e, key);
     if (!sid.ok()) return ts::Series(key);
     return series_->Materialize(*sid, interval);
   }
@@ -149,14 +152,14 @@ class PolyglotSnapshot final : public query::QueryBackend {
                                        const std::string& key,
                                        const Interval& interval,
                                        ts::AggKind kind) const override {
-    auto sid = ResolveIn(vertex_series_, v, key);
+    auto sid = ResolveIn(maps_->vertex, v, key);
     if (!sid.ok()) return EmptyAggregate(kind);
     return series_->Aggregate(*sid, interval, kind);
   }
   Result<double> EdgeSeriesAggregate(graph::EdgeId e, const std::string& key,
                                      const Interval& interval,
                                      ts::AggKind kind) const override {
-    auto sid = ResolveIn(edge_series_, e, key);
+    auto sid = ResolveIn(maps_->edge, e, key);
     if (!sid.ok()) return EmptyAggregate(kind);
     return series_->Aggregate(*sid, interval, kind);
   }
@@ -166,7 +169,7 @@ class PolyglotSnapshot final : public query::QueryBackend {
       const Interval& interval, ts::AggKind kind) const override {
     std::vector<SeriesId> present;
     std::vector<size_t> slot;
-    auto out = PlanAggregateBatch(vertex_series_, vertices, key, kind,
+    auto out = PlanAggregateBatch(maps_->vertex, vertices, key, kind,
                                   &present, &slot);
     ScatterAggregateBatch(*series_, interval, kind, present, slot, &out);
     return out;
@@ -176,7 +179,7 @@ class PolyglotSnapshot final : public query::QueryBackend {
       const Interval& interval, ts::AggKind kind) const override {
     std::vector<SeriesId> present;
     std::vector<size_t> slot;
-    auto out = PlanAggregateBatch(edge_series_, edges, key, kind, &present,
+    auto out = PlanAggregateBatch(maps_->edge, edges, key, kind, &present,
                                   &slot);
     ScatterAggregateBatch(*series_, interval, kind, present, slot, &out);
     return out;
@@ -185,14 +188,14 @@ class PolyglotSnapshot final : public query::QueryBackend {
   Result<ts::Series> VertexSeriesWindowAggregate(
       graph::VertexId v, const std::string& key, const Interval& interval,
       Duration width, ts::AggKind kind) const override {
-    auto sid = ResolveIn(vertex_series_, v, key);
+    auto sid = ResolveIn(maps_->vertex, v, key);
     if (!sid.ok()) return ts::Series(key);
     return series_->WindowAggregate(*sid, interval, width, kind);
   }
   Result<ts::Series> EdgeSeriesWindowAggregate(
       graph::EdgeId e, const std::string& key, const Interval& interval,
       Duration width, ts::AggKind kind) const override {
-    auto sid = ResolveIn(edge_series_, e, key);
+    auto sid = ResolveIn(maps_->edge, e, key);
     if (!sid.ok()) return ts::Series(key);
     return series_->WindowAggregate(*sid, interval, width, kind);
   }
@@ -202,7 +205,7 @@ class PolyglotSnapshot final : public query::QueryBackend {
                                           const Interval& interval,
                                           double min_value,
                                           double max_value) const override {
-    auto sid = ResolveIn(vertex_series_, v, key);
+    auto sid = ResolveIn(maps_->vertex, v, key);
     if (!sid.ok()) return size_t{0};
     return series_->CountMatching(*sid, interval,
                                   ts::ScanPredicate{min_value, max_value});
@@ -212,37 +215,34 @@ class PolyglotSnapshot final : public query::QueryBackend {
                                         const Interval& interval,
                                         double min_value,
                                         double max_value) const override {
-    auto sid = ResolveIn(edge_series_, e, key);
+    auto sid = ResolveIn(maps_->edge, e, key);
     if (!sid.ok()) return size_t{0};
     return series_->CountMatching(*sid, interval,
                                   ts::ScanPredicate{min_value, max_value});
   }
 
   std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override {
-    return KeysOf(vertex_series_, v);
+    return KeysOf(maps_->vertex, v);
   }
   std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override {
-    return KeysOf(edge_series_, e);
+    return KeysOf(maps_->edge, e);
   }
 
  private:
   std::shared_ptr<const graph::PropertyGraph> graph_;
-  const PolyglotStore::SeriesMap vertex_series_;
-  const PolyglotStore::SeriesMap edge_series_;
+  std::shared_ptr<const PolyglotStore::SeriesMaps> maps_;
   std::shared_ptr<const ts::HypertableStore> series_;
 };
 
-}  // namespace
-
 PolyglotStore::PolyglotStore(ts::HypertableOptions ts_options)
-    : graph_(std::make_shared<graph::PropertyGraph>()),
-      metrics_(std::make_unique<obs::MetricsRegistry>()),
+    : metrics_(std::make_unique<obs::MetricsRegistry>()),
       series_(WithDefaultMetrics(std::move(ts_options), metrics_.get())),
+      maps_(std::make_shared<SeriesMaps>()),
       topology_cow_copies_(
           series_.metrics()->counter("concurrency.topology_cow_copies")),
       sync_(SyncInstruments::ForRegistry(series_.metrics())),
-      store_mu_(std::make_unique<SharedMutex>(LockRank::kStoreCoarse, sync_)) {
-}
+      store_mu_(std::make_unique<SharedMutex>(LockRank::kStoreCoarse, sync_)),
+      publish_mu_(std::make_unique<Mutex>(LockRank::kStorePublish, sync_)) {}
 
 query::BackendWork PolyglotStore::Work() const {
   return WorkFromStats(series_.stats());
@@ -254,11 +254,13 @@ const graph::PropertyGraph& PolyglotStore::topology() const {
 }
 
 graph::PropertyGraph* PolyglotStore::Detach() {
-  if (graph_.use_count() > 1) {
-    graph_ = std::make_shared<graph::PropertyGraph>(*graph_);
-    topology_cow_copies_->Increment();
+  {
+    // Dropped first, or the published version's pin would make every
+    // mutation copy the graph.
+    MutexLock lock(*publish_mu_);
+    published_.reset();
   }
-  return graph_.get();
+  return graph_.Mutable(topology_cow_copies_);
 }
 
 graph::PropertyGraph* PolyglotStore::mutable_topology() {
@@ -272,40 +274,55 @@ Status PolyglotStore::MutateTopology(
   return fn(Detach());
 }
 
+PolyglotStore::SeriesMaps* PolyglotStore::MutableMaps() {
+  MutexLock lock(*publish_mu_);
+  published_.reset();
+  if (maps_published_) {
+    maps_ = std::make_shared<SeriesMaps>(*maps_);
+    maps_published_ = false;
+  }
+  return maps_.get();
+}
+
 std::shared_ptr<const query::QueryBackend> PolyglotStore::BeginSnapshot()
     const {
-  // Series creation takes the exclusive guard, so under the shared guard
-  // the maps and the hypertable's series set cannot drift apart; the fork
-  // itself pins each series' chunk vector under that series' shard lock.
+  // Writers of the graph and the maps hold the guard exclusively and drop
+  // the published version; sample writes only mark their series written,
+  // and Fork() republishes just those. Under the shared guard the maps and
+  // the hypertable's series set cannot drift apart.
   SharedLock lock(*store_mu_);
-  return std::make_shared<PolyglotSnapshot>(graph_, vertex_series_,
-                                            edge_series_, series_.Fork());
+  MutexLock publish(*publish_mu_);
+  std::shared_ptr<const ts::HypertableStore> series = series_.Fork();
+  if (published_ == nullptr || published_->series() != series.get()) {
+    published_ = std::make_shared<const PolyglotSnapshot>(
+        graph_.Pin(), maps_, std::move(series));
+    maps_published_ = true;
+  }
+  return published_;
 }
 
 Result<SeriesId> PolyglotStore::ResolveLocked(bool vertex, uint64_t id,
                                               const std::string& key) const {
   SharedLock lock(*store_mu_);
-  return ResolveIn(vertex ? vertex_series_ : edge_series_, id, key);
+  return ResolveIn(maps_->of(vertex), id, key);
 }
 
-SeriesId PolyglotStore::ResolveOrCreate(SeriesMap* map, uint64_t id,
-                                        const std::string& key,
-                                        const char* scope) {
-  auto it = map->find(EntityKey{id, key});
-  if (it != map->end()) return it->second;
+SeriesId PolyglotStore::ResolveOrCreate(bool vertex, uint64_t id,
+                                        const std::string& key) {
+  auto found = ResolveIn(maps_->of(vertex), id, key);
+  if (found.ok()) return *found;
   // The slot-name contract (query::SeriesSlotName) is what lets the cold
   // tier's catalog map persisted series back to (entity, key) on recovery.
-  const SeriesId sid =
-      series_.Create(query::SeriesSlotName(scope[0] == 'v', id, key));
-  map->emplace(EntityKey{id, key}, sid);
+  const SeriesId sid = series_.Create(query::SeriesSlotName(vertex, id, key));
+  SeriesMaps* maps = MutableMaps();
+  (vertex ? maps->vertex : maps->edge).emplace(EntityKey{id, key}, sid);
   return sid;
 }
 
 Result<SeriesId> PolyglotStore::EnsureSeries(bool vertex, uint64_t entity,
                                              const std::string& key) {
   ExclusiveLock lock(*store_mu_);
-  return ResolveOrCreate(vertex ? &vertex_series_ : &edge_series_, entity, key,
-                         vertex ? "v" : "e");
+  return ResolveOrCreate(vertex, entity, key);
 }
 
 Status PolyglotStore::AppendVertexSample(graph::VertexId v,
@@ -320,8 +337,8 @@ Status PolyglotStore::AppendVertexSample(graph::VertexId v,
     if (!graph_->HasVertex(v)) {
       return Status::NotFound("no vertex with id " + std::to_string(v));
     }
-    auto it = vertex_series_.find(EntityKey{v, key});
-    if (it != vertex_series_.end()) {
+    auto it = maps_->vertex.find(EntityKey{v, key});
+    if (it != maps_->vertex.end()) {
       sid = it->second;
       found = true;
     }
@@ -331,7 +348,7 @@ Status PolyglotStore::AppendVertexSample(graph::VertexId v,
     if (!graph_->HasVertex(v)) {  // recheck: guard was dropped
       return Status::NotFound("no vertex with id " + std::to_string(v));
     }
-    sid = ResolveOrCreate(&vertex_series_, v, key, "v");
+    sid = ResolveOrCreate(/*vertex=*/true, v, key);
   }
   return series_.Insert(sid, t, value);
 }
@@ -345,8 +362,8 @@ Status PolyglotStore::AppendEdgeSample(graph::EdgeId e, const std::string& key,
     if (!graph_->HasEdge(e)) {
       return Status::NotFound("no edge with id " + std::to_string(e));
     }
-    auto it = edge_series_.find(EntityKey{e, key});
-    if (it != edge_series_.end()) {
+    auto it = maps_->edge.find(EntityKey{e, key});
+    if (it != maps_->edge.end()) {
       sid = it->second;
       found = true;
     }
@@ -356,7 +373,7 @@ Status PolyglotStore::AppendEdgeSample(graph::EdgeId e, const std::string& key,
     if (!graph_->HasEdge(e)) {  // recheck: guard was dropped
       return Status::NotFound("no edge with id " + std::to_string(e));
     }
-    sid = ResolveOrCreate(&edge_series_, e, key, "e");
+    sid = ResolveOrCreate(/*vertex=*/false, e, key);
   }
   return series_.Insert(sid, t, value);
 }
@@ -364,12 +381,12 @@ Status PolyglotStore::AppendEdgeSample(graph::EdgeId e, const std::string& key,
 std::vector<std::string> PolyglotStore::VertexSeriesKeys(
     graph::VertexId v) const {
   SharedLock lock(*store_mu_);
-  return KeysOf(vertex_series_, v);
+  return KeysOf(maps_->vertex, v);
 }
 
 std::vector<std::string> PolyglotStore::EdgeSeriesKeys(graph::EdgeId e) const {
   SharedLock lock(*store_mu_);
-  return KeysOf(edge_series_, e);
+  return KeysOf(maps_->edge, e);
 }
 
 Result<ts::Series> PolyglotStore::VertexSeriesRange(
@@ -415,7 +432,7 @@ std::vector<Result<double>> PolyglotStore::VertexSeriesAggregateBatch(
     // Resolve under one brief shared hold instead of per-entity locking;
     // the aggregate itself runs unlocked against the per-series shards.
     SharedLock lock(*store_mu_);
-    out = PlanAggregateBatch(vertex_series_, vertices, key, kind, &present,
+    out = PlanAggregateBatch(maps_->vertex, vertices, key, kind, &present,
                              &slot);
   }
   ScatterAggregateBatch(series_, interval, kind, present, slot, &out);
@@ -430,7 +447,7 @@ std::vector<Result<double>> PolyglotStore::EdgeSeriesAggregateBatch(
   std::vector<Result<double>> out;
   {
     SharedLock lock(*store_mu_);
-    out = PlanAggregateBatch(edge_series_, edges, key, kind, &present, &slot);
+    out = PlanAggregateBatch(maps_->edge, edges, key, kind, &present, &slot);
   }
   ScatterAggregateBatch(series_, interval, kind, present, slot, &out);
   return out;

@@ -7,9 +7,12 @@
 
 #include "common/sync.h"
 #include "query/backend.h"
+#include "storage/cow_graph.h"
 #include "ts/hypertable.h"
 
 namespace hygraph::storage {
+
+class PolyglotSnapshot;
 
 /// The "Polyglot persistence" architecture of Figure 1 (the green path) —
 /// a simulation of the paper's TimeTravelDB prototype (Neo4j +
@@ -28,11 +31,11 @@ namespace hygraph::storage {
 /// behind one coarse reader-writer guard, held only while touching them —
 /// sample data is read and written through the hypertable's own per-series
 /// locks, so ingest on one series never blocks scans of another. Series
-/// creation requires the exclusive guard; BeginSnapshot() therefore pins a
-/// consistent (graph, maps, hypertable fork) triple under the shared
-/// guard. topology()/mutable_topology() hand out references that outlive
-/// the guard — single-threaded use only; concurrent code goes through
-/// BeginSnapshot()/MutateTopology().
+/// creation requires the exclusive guard; BeginSnapshot() therefore
+/// captures a consistent (graph, maps, hypertable version) triple under
+/// the shared guard. topology()/mutable_topology() hand out references
+/// that outlive the guard — single-threaded use only; concurrent code goes
+/// through BeginSnapshot()/MutateTopology().
 class PolyglotStore final : public query::QueryBackend {
  public:
   explicit PolyglotStore(ts::HypertableOptions ts_options = {});
@@ -48,8 +51,10 @@ class PolyglotStore final : public query::QueryBackend {
   Status MutateTopology(
       const std::function<Status(graph::PropertyGraph*)>& fn) override;
 
-  /// Pins graph + series maps + an O(series) hypertable fork as one
-  /// consistent immutable view.
+  /// The published immutable version: graph, series maps and the
+  /// hypertable's version (HypertableStore::Fork()), all by pointer. One
+  /// shared_ptr copy while nothing changed since it was published;
+  /// otherwise republished at the cost of the series written since.
   std::shared_ptr<const query::QueryBackend> BeginSnapshot() const override;
 
   /// One registry for the whole backend; the embedded hypertable's
@@ -134,8 +139,8 @@ class PolyglotStore final : public query::QueryBackend {
   Result<SeriesId> EnsureSeries(bool vertex, uint64_t entity,
                                 const std::string& key) override;
 
-  // Cross-store glue types. Internal, but public so the pinned snapshot
-  // implementation (file-local in polyglot.cc) can hold map copies.
+  // Cross-store glue types. Internal, but public so the snapshot
+  // implementation (in polyglot.cc) can read the maps it holds.
   struct EntityKey {
     uint64_t id;
     std::string key;
@@ -148,6 +153,13 @@ class PolyglotStore final : public query::QueryBackend {
     }
   };
   using SeriesMap = std::unordered_map<EntityKey, SeriesId, EntityKeyHash>;
+  struct SeriesMaps {
+    SeriesMap vertex;
+    SeriesMap edge;
+    const SeriesMap& of(bool is_vertex) const {
+      return is_vertex ? vertex : edge;
+    }
+  };
 
  private:
   /// Looks (id, key) up in the vertex or edge series map under a shared
@@ -157,24 +169,33 @@ class PolyglotStore final : public query::QueryBackend {
                                  const std::string& key) const;
   /// Creates the hypertable series on first use; call under the exclusive
   /// guard.
-  SeriesId ResolveOrCreate(SeriesMap* map, uint64_t id, const std::string& key,
-                           const char* scope) HYGRAPH_REQUIRES(*store_mu_);
-  /// Copy-on-write detach of the graph; call under the exclusive guard.
+  SeriesId ResolveOrCreate(bool vertex, uint64_t id, const std::string& key)
+      HYGRAPH_REQUIRES(*store_mu_);
+  /// The maps for editing, and the graph for mutation: both drop the
+  /// published version first. Maps a version captured are copied, never
+  /// edited; the graph is copied while a snapshot still pins it. Call
+  /// under the exclusive guard.
+  SeriesMaps* MutableMaps() HYGRAPH_REQUIRES(*store_mu_);
   graph::PropertyGraph* Detach() HYGRAPH_REQUIRES(*store_mu_);
 
-  std::shared_ptr<graph::PropertyGraph> graph_ HYGRAPH_GUARDED_BY(*store_mu_);
+  CowGraph graph_ HYGRAPH_GUARDED_BY(*store_mu_);
   // Declared before series_ so the hypertable can adopt it at
   // construction (when the caller did not inject a registry of their own).
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   ts::HypertableStore series_;
-  SeriesMap vertex_series_ HYGRAPH_GUARDED_BY(*store_mu_);
-  SeriesMap edge_series_ HYGRAPH_GUARDED_BY(*store_mu_);
+  std::shared_ptr<SeriesMaps> maps_ HYGRAPH_GUARDED_BY(*store_mu_);
   // "concurrency.snapshot_pins" is incremented by series_.Fork() on the
   // shared registry — one pin event per snapshot, not counted twice here.
   obs::Counter* topology_cow_copies_ = nullptr;
   SyncInstruments sync_;
   // Heap-held: SharedMutex is not movable, the store is. Rank kStoreCoarse.
   std::unique_ptr<SharedMutex> store_mu_;
+  // Guards the published version (rank kStorePublish).
+  std::unique_ptr<Mutex> publish_mu_;
+  mutable std::shared_ptr<const PolyglotSnapshot> published_
+      HYGRAPH_GUARDED_BY(*publish_mu_);
+  // Set while a published version holds maps_ (MutableMaps copies them).
+  mutable bool maps_published_ HYGRAPH_GUARDED_BY(*publish_mu_) = false;
 };
 
 }  // namespace hygraph::storage

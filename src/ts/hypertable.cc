@@ -130,13 +130,28 @@ HypertableStore::HypertableStore(HypertableOptions options)
   }
   sync_ = SyncInstruments::ForRegistry(metrics_);
   map_mu_ = std::make_unique<SharedMutex>(LockRank::kSeriesMap, sync_);
+  publish_mu_ = std::make_unique<Mutex>(LockRank::kSeriesPublish, sync_);
+  written_mu_ = std::make_unique<Mutex>(LockRank::kSeriesWritten, sync_);
 }
+
+HypertableStore::HypertableStore(VersionTag, const HypertableStore& origin,
+                                 std::shared_ptr<const Directory> version)
+    : options_(origin.options_),
+      version_(std::move(version)),
+      metrics_(origin.metrics_),
+      m_(origin.m_),
+      sync_(origin.sync_) {}
 
 SeriesId HypertableStore::Create(std::string name) {
   ExclusiveLock lock(*map_mu_);
   const SeriesId id = next_id_++;
-  series_.emplace(id,
-                  std::make_unique<StoredSeries>(std::move(name), sync_));
+  auto stored = std::make_unique<StoredSeries>(id, std::move(name), sync_);
+  {
+    // A new series starts out written, so the next publish adds it.
+    MutexLock written(*written_mu_);
+    written_.push_back(stored.get());
+  }
+  series_.emplace(id, std::move(stored));
   return id;
 }
 
@@ -146,11 +161,38 @@ HypertableStore::StoredSeries* HypertableStore::FindSeries(SeriesId id) const {
   return it == series_.end() ? nullptr : it->second.get();
 }
 
+template <typename Fn>
+Status HypertableStore::VisitSeries(SeriesId id, Fn&& fn) const {
+  if (version_ != nullptr) {
+    const SeriesVersion* entry = version_->Find(id);
+    if (entry == nullptr) return NoSuchSeries(id);
+    // The version's chunk list never changes; the lock orders the copy of
+    // the newest chunk's visible prefix against appends growing it.
+    SharedLock lock(entry->series->mu);
+    return fn(*entry);
+  }
+  const StoredSeries* s = FindSeries(id);
+  if (s == nullptr) return NoSuchSeries(id);
+  SharedLock lock(s->mu);
+  SeriesVersion live;
+  live.series = s;
+  // Non-owning alias: the held shard lock keeps the list alive and fixed.
+  live.chunks = std::shared_ptr<const ChunkList>(
+      std::shared_ptr<const ChunkList>(), s->chunks.get());
+  if (const HotChunk* hot = NewestHot(*s->chunks)) {
+    live.hot_count = hot->samples.size();
+    live.hot_agg = hot->agg;
+  }
+  return fn(live);
+}
+
 bool HypertableStore::Exists(SeriesId id) const {
+  if (version_ != nullptr) return version_->Find(id) != nullptr;
   return FindSeries(id) != nullptr;
 }
 
 size_t HypertableStore::series_count() const {
+  if (version_ != nullptr) return Ids().size();
   SharedLock lock(*map_mu_);
   return series_.size();
 }
@@ -162,44 +204,69 @@ Timestamp HypertableStore::ChunkStartFor(Timestamp t) const {
   return q * d;
 }
 
-std::vector<HypertableStore::Chunk>& HypertableStore::MutableChunks(
+void HypertableStore::HotChunk::Insert(Timestamp t, double value) {
+  if (samples.empty() || t > samples.back().t) {
+    samples.push_back(Sample{t, value});
+    agg.Add(samples.back());
+    return;
+  }
+  auto pos = std::lower_bound(
+      samples.begin(), samples.end(), t,
+      [](const Sample& s, Timestamp ts) { return s.t < ts; });
+  if (pos != samples.end() && pos->t == t) {
+    pos->value = value;
+  } else {
+    samples.insert(pos, Sample{t, value});
+  }
+  Refold();
+}
+
+void HypertableStore::HotChunk::Refold() {
+  agg = AggState{};
+  for (const Sample& s : samples) agg.Add(s);
+}
+
+HypertableStore::HotChunk* HypertableStore::NewestHot(
+    const ChunkList& chunks) {
+  return chunks.empty() ? nullptr : chunks.back().hot.get();
+}
+
+size_t HypertableStore::VisibleSize(const SeriesVersion& version, size_t i) {
+  const Chunk& chunk = (*version.chunks)[i];
+  const bool newest = i + 1 == version.chunks->size();
+  return chunk.hot != nullptr && newest ? version.hot_count : chunk.size();
+}
+
+void HypertableStore::MarkWritten(StoredSeries& s) {
+  if (s.written) return;
+  s.written = true;
+  MutexLock lock(*written_mu_);
+  written_.push_back(&s);
+}
+
+HypertableStore::ChunkList& HypertableStore::MutableChunks(
     StoredSeries& s) const {
-  if (s.pins->load(std::memory_order_acquire) > 0) {
-    // A live Fork() pinned this vector: detach. Sealed chunks share their
-    // immutable payload by refcount; only hot vectors actually copy. The
-    // old vector (and its caches) stays alive for the snapshot, which may
-    // still be filling a cache concurrently — hence the fresh-flag
-    // acquire before trusting a copied aggregate. Zero pins means every
-    // snapshot of this incarnation is destroyed, and the acquire pairs
-    // with the release decrement in ~StoredSeries, ordering all of a dead
-    // snapshot's reads before this writer mutates the buffers in place.
-    auto fresh = std::make_shared<std::vector<Chunk>>();
-    fresh->reserve(s.chunks->size());
-    for (const Chunk& chunk : *s.chunks) {
-      Chunk copy;
-      copy.start = chunk.start;
-      copy.samples = chunk.samples;
-      copy.sealed = chunk.sealed;
-      copy.cold = chunk.cold;
-      copy.cold_meta = chunk.cold_meta;
-      if (chunk.cache != nullptr) {
-        copy.cache = std::make_unique<AggCache>();
-        if (chunk.cache->fresh.load(std::memory_order_acquire)) {
-          copy.cache->agg = chunk.cache->agg;
-          copy.cache->fresh.store(true, std::memory_order_release);
-        }
-      }
-      fresh->push_back(std::move(copy));
-    }
-    s.chunks = std::move(fresh);
-    s.pins = std::make_shared<std::atomic<uint64_t>>(0);
+  if (s.chunks_born != s.publishes) {
+    // A version may hold this list: edit a copy. Chunks are pointers, so
+    // sealed and cold payloads and hot chunks stay shared.
+    s.chunks = std::make_shared<ChunkList>(*s.chunks);
+    s.chunks_born = s.publishes;
     m_.series_cow_copies->Increment();
   }
   return *s.chunks;
 }
 
-size_t HypertableStore::ChunkIndexFor(std::vector<Chunk>& chunks,
-                                      Timestamp t) const {
+HypertableStore::HotChunk& HypertableStore::PrivateHot(Chunk& chunk,
+                                                       uint64_t publishes) {
+  if (chunk.hot->born != publishes) {
+    chunk.hot = std::make_shared<HotChunk>(*chunk.hot);
+    chunk.hot->born = publishes;
+  }
+  return *chunk.hot;
+}
+
+size_t HypertableStore::ChunkIndexFor(ChunkList& chunks, Timestamp t,
+                                      uint64_t publishes) const {
   const Timestamp start = ChunkStartFor(t);
   auto it = std::lower_bound(
       chunks.begin(), chunks.end(), start,
@@ -207,38 +274,25 @@ size_t HypertableStore::ChunkIndexFor(std::vector<Chunk>& chunks,
   if (it == chunks.end() || it->start != start) {
     it = chunks.insert(it, Chunk{});
     it->start = start;
-    it->cache = std::make_unique<AggCache>();
+    it->hot = std::make_shared<HotChunk>();
+    it->hot->born = publishes;
   }
   return static_cast<size_t>(it - chunks.begin());
 }
 
-void HypertableStore::InsertIntoChunk(Chunk& chunk, Timestamp t,
-                                      double value) {
-  auto pos = std::lower_bound(
-      chunk.samples.begin(), chunk.samples.end(), t,
-      [](const Sample& s, Timestamp ts) { return s.t < ts; });
-  if (pos != chunk.samples.end() && pos->t == t) {
-    pos->value = value;
-  } else {
-    chunk.samples.insert(pos, Sample{t, value});
-  }
-  // Relaxed is enough: the writer holds the shard lock exclusively, so no
-  // reader can observe the flag until the lock is released (which orders).
-  chunk.cache->fresh.store(false, std::memory_order_relaxed);
-}
-
 void HypertableStore::Seal(Chunk& chunk) const {
-  if (chunk.is_sealed() || chunk.samples.empty()) return;
-  // One pass computes the aggregate and builds the zone map, so a sealed
-  // chunk always answers covered aggregates without decoding. The sealed
-  // form is a fresh immutable object: readers pinned to a previous
-  // incarnation keep decoding the bytes they pinned.
+  if (chunk.is_sealed() || chunk.hot->samples.empty()) return;
+  // One pass builds the zone map; the running aggregate becomes the
+  // sealed one, so a sealed chunk always answers covered aggregates
+  // without decoding. The sealed form is a fresh immutable object: readers
+  // pinned to a previous incarnation keep decoding the bytes they pinned.
+  const std::vector<Sample>& samples = chunk.hot->samples;
   auto sealed = std::make_shared<SealedChunk>();
+  sealed->agg = chunk.hot->agg;
   double min_v = std::numeric_limits<double>::infinity();
   double max_v = -std::numeric_limits<double>::infinity();
   bool all_finite = true;
-  for (const Sample& s : chunk.samples) {
-    sealed->agg.Add(s);
+  for (const Sample& s : samples) {
     if (std::isfinite(s.value)) {
       min_v = std::min(min_v, s.value);
       max_v = std::max(max_v, s.value);
@@ -250,23 +304,22 @@ void HypertableStore::Seal(Chunk& chunk) const {
       }
     }
   }
-  sealed->min_t = chunk.samples.front().t;
-  sealed->max_t = chunk.samples.back().t;
+  sealed->min_t = samples.front().t;
+  sealed->max_t = samples.back().t;
   sealed->min_v = min_v;
   sealed->max_v = max_v;
   sealed->all_finite = all_finite;
-  sealed->encoded = EncodeChunk(chunk.samples);
+  sealed->encoded = EncodeChunk(samples);
   sealed->encoded.shrink_to_fit();
-  sealed->count = chunk.samples.size();
+  sealed->count = samples.size();
   m_.chunks_sealed->Increment();
-  m_.bytes_raw->Add(chunk.samples.size() * sizeof(Sample));
+  m_.bytes_raw->Add(samples.size() * sizeof(Sample));
   m_.bytes_compressed->Add(sealed->encoded.size());
   chunk.sealed = std::move(sealed);
-  chunk.samples = std::vector<Sample>{};  // release the hot buffer
-  chunk.cache.reset();  // sealed chunks answer from sealed->agg
+  chunk.hot.reset();  // versions that captured it keep it alive
 }
 
-Status HypertableStore::Unseal(Chunk& chunk) const {
+Status HypertableStore::Unseal(Chunk& chunk, uint64_t publishes) const {
   if (!chunk.is_sealed()) return Status::OK();
   AggState sealed_agg;
   std::vector<Sample> samples;
@@ -309,55 +362,46 @@ Status HypertableStore::Unseal(Chunk& chunk) const {
     chunk.cold = kInvalidColdChunk;
     chunk.cold_meta.reset();
   }
-  chunk.samples = std::move(samples);
-  chunk.cache = std::make_unique<AggCache>();
-  {
-    // The sealed aggregate covered exactly these samples; seed the hot
-    // cache with it (the caller's insert will invalidate as needed). The
-    // cache is brand new, so the fill lock is uncontended by construction.
-    MutexLock fill_lock(chunk.cache->mu);
-    chunk.cache->agg = sealed_agg;
-  }
-  chunk.cache->fresh.store(true, std::memory_order_release);
+  auto hot = std::make_shared<HotChunk>();
+  hot->samples = std::move(samples);
+  hot->agg = sealed_agg;  // folded over exactly these samples at seal time
+  hot->born = publishes;
+  chunk.hot = std::move(hot);
   chunk.sealed = nullptr;
   m_.chunks_unsealed->Increment();
   m_.chunks_decoded->Increment();
   return Status::OK();
 }
 
-void HypertableStore::SealColdChunks(std::vector<Chunk>& chunks) const {
+void HypertableStore::SealColdChunks(ChunkList& chunks) const {
   if (!options_.compress_sealed_chunks || chunks.empty()) return;
   for (size_t i = 0; i + 1 < chunks.size(); ++i) {
     Seal(chunks[i]);
   }
 }
 
-const AggState& HypertableStore::HotAggregate(const Chunk& chunk) {
-  AggCache& cache = *chunk.cache;
-  if (!cache.fresh.load(std::memory_order_acquire)) {
-    MutexLock fill_lock(cache.mu);
-    if (!cache.fresh.load(std::memory_order_relaxed)) {
-      AggState agg;
-      for (const Sample& s : chunk.samples) agg.Add(s);
-      cache.agg = agg;
-      cache.fresh.store(true, std::memory_order_release);
-    }
-  }
-  return cache.agg;
-}
-
 Result<HypertableStore::SeriesReadView> HypertableStore::PinView(
     SeriesId id, const Interval& interval, bool want_aggregates) const {
-  const StoredSeries* s = FindSeries(id);
-  if (s == nullptr) return Status(NoSuchSeries(id));
   SeriesReadView view;
-  view.name = s->name;
-  SharedLock lock(s->mu);
-  const std::vector<Chunk>& chunks = *s->chunks;
-  view.chunk_count = chunks.size();
-  for (const Chunk& chunk : chunks) {
+  HYGRAPH_RETURN_IF_ERROR(VisitSeries(id, [&](const SeriesVersion& version) {
+    PinChunks(version, interval, want_aggregates, &view);
+    return Status::OK();
+  }));
+  return view;
+}
+
+void HypertableStore::PinChunks(const SeriesVersion& version,
+                                const Interval& interval,
+                                bool want_aggregates,
+                                SeriesReadView* view) const {
+  const ChunkList& chunks = *version.chunks;
+  view->name = version.series->name;
+  view->chunk_count = chunks.size();
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const Chunk& chunk = chunks[i];
     if (chunk.start >= interval.end) break;  // chunks sorted by start
-    if (!ChunkSpan(chunk).Overlaps(interval) || chunk.size() == 0) continue;
+    const size_t size = VisibleSize(version, i);
+    if (!ChunkSpan(chunk).Overlaps(interval) || size == 0) continue;
     if (chunk.sealed != nullptr &&
         (chunk.sealed->max_t < interval.start ||
          chunk.sealed->min_t >= interval.end)) {
@@ -370,7 +414,7 @@ Result<HypertableStore::SeriesReadView> HypertableStore::PinView(
     }
     PinnedChunk p;
     p.start = chunk.start;
-    p.size = chunk.size();
+    p.size = size;
     if (chunk.sealed != nullptr) {
       p.sealed_ref = chunk.sealed;  // refcount pin; decoded outside the lock
       p.first_t = chunk.sealed->min_t;
@@ -403,49 +447,58 @@ Result<HypertableStore::SeriesReadView> HypertableStore::PinView(
       }
       m_.chunk_pins->Increment();
     } else {
-      p.first_t = chunk.samples.front().t;
-      p.last_t = chunk.samples.back().t;
+      const auto begin = chunk.hot->samples.begin();
+      const auto end = begin + static_cast<ptrdiff_t>(size);
+      p.first_t = begin->t;
+      p.last_t = (end - 1)->t;
       auto lo = std::lower_bound(
-          chunk.samples.begin(), chunk.samples.end(), interval.start,
+          begin, end, interval.start,
           [](const Sample& sample, Timestamp t) { return sample.t < t; });
       auto hi = std::lower_bound(
-          lo, chunk.samples.end(), interval.end,
+          lo, end, interval.end,
           [](const Sample& sample, Timestamp t) { return sample.t < t; });
       p.hot.assign(lo, hi);
       if (want_aggregates) {
-        p.agg = HotAggregate(chunk);
+        p.agg = i + 1 == chunks.size() ? version.hot_agg : chunk.hot->agg;
         p.agg_valid = true;
       }
     }
-    view.overlap_estimate += p.size;
-    view.chunks.push_back(std::move(p));
+    view->overlap_estimate += p.size;
+    view->chunks.push_back(std::move(p));
   }
-  return view;
 }
 
-Status HypertableStore::InsertRaw(std::vector<Chunk>& chunks, Timestamp t,
-                                  double value) {
-  Chunk& chunk = chunks[ChunkIndexFor(chunks, t)];
-  if (chunk.is_sealed()) HYGRAPH_RETURN_IF_ERROR(Unseal(chunk));
-  InsertIntoChunk(chunk, t, value);
-  return Status::OK();
+Result<size_t> HypertableStore::InsertRaw(StoredSeries& s, ChunkList& chunks,
+                                          Timestamp t, double value) {
+  const size_t idx = ChunkIndexFor(chunks, t, s.publishes);
+  Chunk& chunk = chunks[idx];
+  if (chunk.is_sealed()) HYGRAPH_RETURN_IF_ERROR(Unseal(chunk, s.publishes));
+  PrivateHot(chunk, s.publishes).Insert(t, value);
+  return idx;
 }
 
 Status HypertableStore::Insert(SeriesId id, Timestamp t, double value) {
   StoredSeries* s = FindSeries(id);
   if (s == nullptr) return NoSuchSeries(id);
   ExclusiveLock lock(s->mu);
-  std::vector<Chunk>& chunks = MutableChunks(*s);
+  MarkWritten(*s);
+  // An in-order append inside the newest hot chunk grows it in place, even
+  // while versions hold it: each reads only the prefix it recorded.
+  HotChunk* newest = NewestHot(*s->chunks);
+  if (newest != nullptr && ChunkStartFor(t) == s->chunks->back().start &&
+      (newest->samples.empty() || t > newest->samples.back().t)) {
+    newest->Insert(t, value);
+    return Status::OK();
+  }
+  ChunkList& chunks = MutableChunks(*s);
   const size_t chunks_before = chunks.size();
-  const size_t idx = ChunkIndexFor(chunks, t);
-  Chunk& chunk = chunks[idx];
-  if (chunk.is_sealed()) HYGRAPH_RETURN_IF_ERROR(Unseal(chunk));
-  InsertIntoChunk(chunk, t, value);
+  auto idx = InsertRaw(*s, chunks, t, value);
+  if (!idx.ok()) return idx.status();
   if (!options_.compress_sealed_chunks) return Status::OK();
   // Keep the invariant "only the newest chunk is hot": an out-of-order
   // write into a cold chunk reseals it immediately, and opening a fresh
   // newest chunk seals whatever was hot before it.
-  if (idx + 1 < chunks.size()) Seal(chunks[idx]);
+  if (*idx + 1 < chunks.size()) Seal(chunks[*idx]);
   if (chunks.size() > chunks_before) SealColdChunks(chunks);
   return Status::OK();
 }
@@ -454,9 +507,11 @@ Status HypertableStore::InsertSeries(SeriesId id, const Series& series) {
   StoredSeries* stored = FindSeries(id);
   if (stored == nullptr) return NoSuchSeries(id);
   ExclusiveLock lock(stored->mu);
-  std::vector<Chunk>& chunks = MutableChunks(*stored);
+  MarkWritten(*stored);
+  ChunkList& chunks = MutableChunks(*stored);
   for (const Sample& s : series.samples()) {
-    HYGRAPH_RETURN_IF_ERROR(InsertRaw(chunks, s.t, s.value));
+    auto idx = InsertRaw(*stored, chunks, s.t, s.value);
+    if (!idx.ok()) return idx.status();
   }
   SealColdChunks(chunks);
   return Status::OK();
@@ -466,9 +521,12 @@ Result<size_t> HypertableStore::Retain(SeriesId id, const Interval& keep) {
   StoredSeries* stored = FindSeries(id);
   if (stored == nullptr) return Status(NoSuchSeries(id));
   ExclusiveLock lock(stored->mu);
-  std::vector<Chunk>& chunks = MutableChunks(*stored);
+  MarkWritten(*stored);
+  ChunkList& chunks = MutableChunks(*stored);
+  const uint64_t publishes = stored->publishes;
+  const HotChunk* newest_before = NewestHot(chunks);
   size_t removed = 0;
-  std::vector<Chunk> kept;
+  ChunkList kept;
   kept.reserve(chunks.size());
   // A cold chunk dropped wholesale releases its tier record (the next
   // catalog omits it); pinned readers keep the bytes they pinned.
@@ -505,14 +563,21 @@ Result<size_t> HypertableStore::Retain(SeriesId id, const Interval& keep) {
         drop_cold_record(chunk);
         continue;
       }
-      HYGRAPH_RETURN_IF_ERROR(Unseal(chunk));
+      HYGRAPH_RETURN_IF_ERROR(Unseal(chunk, publishes));
     }
-    const size_t before = chunk.samples.size();
-    std::erase_if(chunk.samples,
+    HotChunk& hot = PrivateHot(chunk, publishes);
+    const size_t before = hot.samples.size();
+    std::erase_if(hot.samples,
                   [&keep](const Sample& s) { return !keep.Contains(s.t); });
-    removed += before - chunk.samples.size();
-    chunk.cache->fresh.store(false, std::memory_order_relaxed);
-    if (!chunk.samples.empty()) kept.push_back(std::move(chunk));
+    removed += before - hot.samples.size();
+    hot.Refold();
+    if (!hot.samples.empty()) kept.push_back(std::move(chunk));
+  }
+  // An older hot chunk (compression off) is frozen in every version that
+  // holds it; before it takes in-place appends as the newest, copy it.
+  if (!kept.empty() && kept.back().hot != nullptr &&
+      kept.back().hot.get() != newest_before) {
+    PrivateHot(kept.back(), publishes);
   }
   chunks = std::move(kept);
   SealColdChunks(chunks);
@@ -526,7 +591,14 @@ Result<size_t> HypertableStore::SpillSealed() {
     StoredSeries* s = FindSeries(id);
     if (s == nullptr) continue;  // raced with nothing today, but stay safe
     ExclusiveLock lock(s->mu);
-    std::vector<Chunk>& chunks = MutableChunks(*s);
+    const ChunkList& current = *s->chunks;
+    if (std::none_of(current.begin(), current.end(), [](const Chunk& c) {
+          return c.sealed != nullptr;
+        })) {
+      continue;  // nothing resident to spill: leave the list shared
+    }
+    MarkWritten(*s);
+    ChunkList& chunks = MutableChunks(*s);
     for (Chunk& chunk : chunks) {
       if (chunk.sealed == nullptr) continue;  // hot or already cold
       const SealedChunk& sealed = *chunk.sealed;
@@ -566,7 +638,8 @@ Status HypertableStore::AdoptColdChunk(SeriesId id, Timestamp chunk_start,
   StoredSeries* s = FindSeries(id);
   if (s == nullptr) return NoSuchSeries(id);
   ExclusiveLock lock(s->mu);
-  std::vector<Chunk>& chunks = MutableChunks(*s);
+  MarkWritten(*s);
+  ChunkList& chunks = MutableChunks(*s);
   auto it = std::lower_bound(
       chunks.begin(), chunks.end(), chunk_start,
       [](const Chunk& c, Timestamp st) { return c.start < st; });
@@ -587,33 +660,40 @@ Status HypertableStore::AdoptColdChunk(SeriesId id, Timestamp chunk_start,
 
 Result<std::vector<Sample>> HypertableStore::MaterializeResident(
     SeriesId id) const {
-  const StoredSeries* s = FindSeries(id);
-  if (s == nullptr) return Status(NoSuchSeries(id));
-  SharedLock lock(s->mu);
   std::vector<Sample> out;
-  for (const Chunk& chunk : *s->chunks) {
-    if (chunk.is_cold()) continue;  // durability owned by the cold tier
-    if (chunk.sealed != nullptr) {
-      std::vector<Sample> scratch;
-      const Status decode = DecodeChunkWide(chunk.sealed->encoded, &scratch);
-      if (!decode.ok()) {
-        return Status::Internal("sealed chunk failed to decode: " +
-                                decode.message());
+  HYGRAPH_RETURN_IF_ERROR(VisitSeries(id, [&](const SeriesVersion& version) {
+    const ChunkList& chunks = *version.chunks;
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      const Chunk& chunk = chunks[i];
+      if (chunk.is_cold()) continue;  // durability owned by the cold tier
+      if (chunk.sealed != nullptr) {
+        std::vector<Sample> scratch;
+        const Status decode =
+            DecodeChunkWide(chunk.sealed->encoded, &scratch);
+        if (!decode.ok()) {
+          return Status::Internal("sealed chunk failed to decode: " +
+                                  decode.message());
+        }
+        out.insert(out.end(), scratch.begin(), scratch.end());
+      } else {
+        const auto begin = chunk.hot->samples.begin();
+        out.insert(out.end(), begin,
+                   begin + static_cast<ptrdiff_t>(VisibleSize(version, i)));
       }
-      out.insert(out.end(), scratch.begin(), scratch.end());
-    } else {
-      out.insert(out.end(), chunk.samples.begin(), chunk.samples.end());
     }
-  }
+    return Status::OK();
+  }));
   return out;  // chunk order == time order, so this is sorted
 }
 
 Result<size_t> HypertableStore::SampleCount(SeriesId id) const {
-  const StoredSeries* s = FindSeries(id);
-  if (s == nullptr) return Status(NoSuchSeries(id));
-  SharedLock lock(s->mu);
   size_t n = 0;
-  for (const Chunk& c : *s->chunks) n += c.size();
+  HYGRAPH_RETURN_IF_ERROR(VisitSeries(id, [&n](const SeriesVersion& version) {
+    for (size_t i = 0; i < version.chunks->size(); ++i) {
+      n += VisibleSize(version, i);
+    }
+    return Status::OK();
+  }));
   return n;
 }
 
@@ -937,14 +1017,29 @@ Result<Series> HypertableStore::WindowAggregate(SeriesId id,
 }
 
 Result<std::string> HypertableStore::Name(SeriesId id) const {
-  const StoredSeries* s = FindSeries(id);
+  const StoredSeries* s = nullptr;
+  if (version_ != nullptr) {
+    const SeriesVersion* entry = version_->Find(id);
+    if (entry != nullptr) s = entry->series;
+  } else {
+    s = FindSeries(id);
+  }
   if (s == nullptr) return Status(NoSuchSeries(id));
   return s->name;  // immutable after Create; no shard lock needed
 }
 
 std::vector<SeriesId> HypertableStore::Ids() const {
-  SharedLock lock(*map_mu_);
   std::vector<SeriesId> ids;
+  if (version_ != nullptr) {
+    for (const auto& page : version_->pages) {
+      if (page == nullptr) continue;
+      for (const SeriesVersion& entry : *page) {
+        if (entry.series != nullptr) ids.push_back(entry.series->id);
+      }
+    }
+    return ids;  // pages are in id order
+  }
+  SharedLock lock(*map_mu_);
   ids.reserve(series_.size());
   for (const auto& [id, _] : series_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
@@ -952,48 +1047,82 @@ std::vector<SeriesId> HypertableStore::Ids() const {
 }
 
 HypertableMemory HypertableStore::MemoryUsage() const {
-  SharedLock map_lock(*map_mu_);
   HypertableMemory m;
-  for (const auto& [id, stored] : series_) {
-    (void)id;
-    SharedLock lock(stored->mu);
-    for (const Chunk& chunk : *stored->chunks) {
-      if (chunk.sealed != nullptr) {
-        m.sealed_samples += chunk.sealed->count;
-        m.sealed_bytes += chunk.sealed->encoded.size();
-      } else if (chunk.is_cold()) {
-        // Bytes live in the cold tier, not this store's RAM.
-        m.cold_samples += chunk.cold_meta->count;
-        m.cold_bytes += chunk.cold_meta->encoded_size;
-      } else {
-        m.hot_samples += chunk.samples.size();
-        m.hot_bytes += chunk.samples.capacity() * sizeof(Sample);
+  for (SeriesId id : Ids()) {
+    const Status visited = VisitSeries(id, [&m](const SeriesVersion& version) {
+      const ChunkList& chunks = *version.chunks;
+      for (size_t i = 0; i < chunks.size(); ++i) {
+        const Chunk& chunk = chunks[i];
+        if (chunk.sealed != nullptr) {
+          m.sealed_samples += chunk.sealed->count;
+          m.sealed_bytes += chunk.sealed->encoded.size();
+        } else if (chunk.is_cold()) {
+          // Bytes live in the cold tier, not this store's RAM.
+          m.cold_samples += chunk.cold_meta->count;
+          m.cold_bytes += chunk.cold_meta->encoded_size;
+        } else {
+          m.hot_samples += VisibleSize(version, i);
+          m.hot_bytes += chunk.hot->samples.capacity() * sizeof(Sample);
+        }
       }
-    }
+      return Status::OK();
+    });
+    HYGRAPH_IGNORE_RESULT(visited);  // ids are never removed
   }
   return m;
 }
 
 std::shared_ptr<const HypertableStore> HypertableStore::Fork() const {
-  HypertableOptions options = options_;
-  options.metrics = metrics_;  // share the registry: work attributes here
-  auto fork = std::make_shared<HypertableStore>(std::move(options));
-  SharedLock map_lock(*map_mu_);
-  fork->next_id_ = next_id_;
-  fork->series_.reserve(series_.size());
-  for (const auto& [id, stored] : series_) {
-    auto copy = std::make_unique<StoredSeries>(stored->name, sync_);
-    SharedLock lock(stored->mu);
-    copy->chunks = stored->chunks;  // O(1) pin; origin detaches on write
-    copy->pins = stored->pins;
-    // Relaxed is enough for the increment: the shared hold of stored->mu
-    // orders it before any writer's pin check (the exclusive hold).
-    copy->pins->fetch_add(1, std::memory_order_relaxed);
-    copy->holds_pin = true;
-    fork->series_.emplace(id, std::move(copy));
-  }
   m_.snapshot_pins->Increment();
-  return fork;
+  if (version_ != nullptr) {
+    return std::make_shared<const HypertableStore>(VersionTag{}, *this,
+                                                   version_);
+  }
+  MutexLock publish(*publish_mu_);
+  std::vector<StoredSeries*> written;
+  {
+    MutexLock lock(*written_mu_);
+    written.swap(written_);
+  }
+  if (written.empty() && published_ != nullptr) return published_;
+  // Republish: untouched directory pages stay shared with the last
+  // version; each page holding a written series is copied once.
+  auto directory = published_ == nullptr
+                       ? std::make_shared<Directory>()
+                       : std::make_shared<Directory>(*published_->version_);
+  std::sort(written.begin(), written.end(),
+            [](const StoredSeries* a, const StoredSeries* b) {
+              return a->id < b->id;
+            });
+  DirectoryPage* page = nullptr;
+  size_t page_index = 0;
+  for (StoredSeries* s : written) {
+    const size_t index = static_cast<size_t>(s->id / kDirectoryPage);
+    if (page == nullptr || index != page_index) {
+      if (index >= directory->pages.size()) {
+        directory->pages.resize(index + 1);
+      }
+      const std::shared_ptr<const DirectoryPage>& old =
+          directory->pages[index];
+      auto copy = old == nullptr ? std::make_shared<DirectoryPage>()
+                                 : std::make_shared<DirectoryPage>(*old);
+      page = copy.get();
+      page_index = index;
+      directory->pages[index] = std::move(copy);
+    }
+    SeriesVersion& entry = (*page)[s->id % kDirectoryPage];
+    ExclusiveLock lock(s->mu);
+    entry.series = s;
+    entry.chunks = s->chunks;
+    const HotChunk* hot = NewestHot(*s->chunks);
+    entry.hot_count = hot == nullptr ? 0 : hot->samples.size();
+    entry.hot_agg = hot == nullptr ? AggState{} : hot->agg;
+    ++s->publishes;  // from now on writers copy what this entry holds
+    s->written = false;
+  }
+  published_ = std::make_shared<const HypertableStore>(VersionTag{}, *this,
+                                                       std::move(directory));
+  return published_;
 }
 
 HypertableStats HypertableStore::stats() const {

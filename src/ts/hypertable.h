@@ -2,7 +2,7 @@
 #define HYGRAPH_TS_HYPERTABLE_H_
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <limits>
 #include <memory>
 #include <string>
@@ -59,7 +59,7 @@ struct HypertableOptions {
   /// Cold tier sealed chunks spill to (null = everything stays in RAM).
   /// Not owned; set post-construction via AttachColdTier (single-threaded
   /// setup, before the store is shared). Lives in the options so Fork()
-  /// snapshots keep reading the same tier.
+  /// versions keep reading the same tier.
   ColdTier* cold_tier = nullptr;
 };
 
@@ -166,12 +166,27 @@ struct ScanPredicate {
 /// any lock — unseal/merge/reseal swaps in a fresh object while pinned
 /// readers keep the old one alive (epoch-by-refcount). Hot-chunk samples
 /// overlapping the scan are copied out under the same shared hold.
-/// Writers take the shard lock exclusively. Fork() snapshots the whole
-/// store in O(series): it pins every series' chunk vector; the next write
-/// to a pinned series detaches (copy-on-write).
+/// Writers take the shard lock exclusively.
+///
+/// Fork() returns a published immutable version: a paged directory of
+/// per-series chunk lists. It costs one shared_ptr copy when nothing was
+/// written since the last publish, and otherwise copies only the
+/// directory pages of the series written since. A version records how
+/// many samples of each series' newest (hot) chunk it sees, so in-order
+/// appends write past that prefix in place; every other write copies the
+/// series' chunk list first if a version may hold it.
 class HypertableStore {
+  struct Directory;
+  /// Constructor access for Fork() (passkey: make_shared needs a public
+  /// constructor, the tag keeps it Fork()'s).
+  struct VersionTag {};
+
  public:
   explicit HypertableStore(HypertableOptions options = {});
+  /// A version view: shares the origin's options, registry and
+  /// instruments, reads through `version`, and owns no series or locks.
+  HypertableStore(VersionTag, const HypertableStore& origin,
+                  std::shared_ptr<const Directory> version);
 
   HypertableStore(const HypertableStore&) = delete;
   HypertableStore& operator=(const HypertableStore&) = delete;
@@ -304,17 +319,15 @@ class HypertableStore {
   /// Current sample-data footprint (hot vectors vs sealed encoded bytes).
   HypertableMemory MemoryUsage() const;
 
-  /// An immutable snapshot of every series as of the call, sharing sealed
-  /// chunk storage with this store by refcount (O(series), not O(samples):
-  /// only hot vectors detach lazily on the origin's next write). The fork
-  /// shares this store's metrics registry, so work done reading it still
-  /// attributes to the origin; it must not outlive the origin.
-  /// Analysis off inside: the fork is freshly constructed and not yet
-  /// shared, so its map and shard locks are not taken (taking them would
-  /// also trip the runtime rank checker: same rank as the origin's locks
-  /// already held).
-  std::shared_ptr<const HypertableStore> Fork() const
-      HYGRAPH_NO_THREAD_SAFETY_ANALYSIS;
+  /// An immutable view of every series as of the call: the store's
+  /// published version (see the class comment), republished first when a
+  /// series was created or written since. Its reads run the same code as
+  /// live reads; they take only the shard lock, to copy the visible prefix
+  /// of a newest chunk that may still be growing. The version shares this
+  /// store's metrics registry, so work done reading it still attributes to
+  /// the origin; it must not outlive the origin. The store keeps its last
+  /// version, so chunks it references are freed at the next republish.
+  std::shared_ptr<const HypertableStore> Fork() const;
 
   /// Work counters accumulated since the last ResetStats(), assembled
   /// from the registry. Returned by value; binding to a const reference
@@ -331,7 +344,7 @@ class HypertableStore {
 
   /// Injects the cold tier sealed chunks spill to. Single-threaded setup:
   /// call before the store is shared (the pointer is read lock-free by
-  /// every reader thereafter). Later Fork() snapshots see the same tier.
+  /// every reader thereafter). Later Fork() versions see the same tier.
   void AttachColdTier(ColdTier* tier) { options_.cold_tier = tier; }
 
   /// Writes every RAM-resident sealed chunk to the attached tier and drops
@@ -375,17 +388,22 @@ class HypertableStore {
     AggState agg;  // whole-chunk aggregate, computed at seal time
   };
 
-  /// Lazily-filled whole-chunk aggregate of a hot chunk. Readers holding
-  /// the shard lock *shared* may race to fill it, so the fill is
-  /// double-checked under its own leaf mutex; `fresh` is the publication
-  /// flag (release on fill, acquire on read). Per-chunk, so uninstrumented
-  /// — but ranked: the fill may run while the shard lock is held.
-  struct AggCache {
-    Mutex mu{LockRank::kAggCache};
-    std::atomic<bool> fresh{false};
-    // Written under mu; read lock-free after observing `fresh` with acquire
-    // order (readers doing so are NO_THREAD_SAFETY_ANALYSIS escapes).
-    AggState agg HYGRAPH_GUARDED_BY(mu);
+  /// The mutable form of a chunk: sorted samples and their running
+  /// aggregate, which every write keeps equal, bit for bit, to a fold of
+  /// the samples in time order. Read and written under the owning series'
+  /// shard lock (shared / exclusive). Shared by refcount between the live
+  /// chunk list and the versions that captured it: an in-order append
+  /// writes past the prefix every version recorded, in place; any other
+  /// write first copies a hot chunk a version may hold (PrivateHot).
+  struct HotChunk {
+    std::vector<Sample> samples;
+    AggState agg;
+    uint64_t born = 0;  // StoredSeries::publishes when created or copied
+
+    /// Sorted insert; a duplicate timestamp replaces the old value.
+    void Insert(Timestamp t, double value);
+    /// Recomputes `agg` from the samples (after edits other than appends).
+    void Refold();
   };
 
   /// Chunk lifecycle: hot (mutable samples) -> sealed (immutable Gorilla
@@ -393,53 +411,80 @@ class HypertableStore {
   /// + aggregate in cold_meta). Out-of-order writes walk the whole ladder
   /// back down: a cold chunk is pinned, decoded hot, and its tier record
   /// forgotten (the next checkpoint spills the merged result as a fresh
-  /// record). Exactly one of {samples, sealed, cold} describes the data.
+  /// record). Exactly one of {hot, sealed, cold} describes the data. A
+  /// Chunk is a handful of pointers, so copying a chunk list never copies
+  /// samples or bytes.
   struct Chunk {
-    Timestamp start = 0;          // covers [start, start + chunk_duration)
-    std::vector<Sample> samples;  // hot form; empty while sealed or cold
+    Timestamp start = 0;  // covers [start, start + chunk_duration)
+    std::shared_ptr<HotChunk> hot;              // hot form
     std::shared_ptr<const SealedChunk> sealed;  // sealed form (resident)
     ColdChunkId cold = kInvalidColdChunk;       // cold form (spilled)
     std::shared_ptr<const ColdChunkMeta> cold_meta;  // set exactly when cold
-    std::unique_ptr<AggCache> cache;  // present exactly while hot
 
     bool is_cold() const { return cold != kInvalidColdChunk; }
     bool is_sealed() const { return sealed != nullptr || is_cold(); }
+    /// All samples, as the live store sees them (see VisibleSize).
     size_t size() const {
       if (sealed != nullptr) return sealed->count;
       if (is_cold()) return cold_meta->count;
-      return samples.size();
+      return hot->samples.size();
     }
   };
+  /// Sorted by start, non-overlapping.
+  using ChunkList = std::vector<Chunk>;
 
   struct StoredSeries {
-    StoredSeries(std::string series_name, const SyncInstruments& instruments)
-        : name(std::move(series_name)),
+    StoredSeries(SeriesId series_id, std::string series_name,
+                 const SyncInstruments& instruments)
+        : id(series_id),
+          name(std::move(series_name)),
           mu(LockRank::kSeriesShard, instruments),
-          chunks(std::make_shared<std::vector<Chunk>>()),
-          pins(std::make_shared<std::atomic<uint64_t>>(0)) {}
-    ~StoredSeries() {
-      // Release order pairs with the acquire load in MutableChunks: every
-      // read this snapshot made of *chunks is ordered before the origin
-      // writer sees the pin drop and reuses the buffers in place.
-      if (holds_pin) pins->fetch_sub(1, std::memory_order_release);
-    }
+          chunks(std::make_shared<ChunkList>()) {}
 
+    const SeriesId id;
     const std::string name;  // immutable after Create — readable lock-free
     mutable SharedMutex mu;  // shard lock (rank kSeriesShard)
-    // Sorted by start, non-overlapping. Held by shared_ptr so Fork() can
-    // pin the whole vector in O(1); a writer finding it pinned
-    // (pins > 0) detaches first (MutableChunks).
-    std::shared_ptr<std::vector<Chunk>> chunks HYGRAPH_GUARDED_BY(mu);
-    // Live Fork() snapshots sharing this `chunks` incarnation. The counter
-    // travels with the incarnation: a detach gives the origin a fresh one,
-    // so old snapshots keep pinning only the vector they hold. This exists
-    // because shared_ptr::use_count() cannot decide "safe to mutate in
-    // place": its load is relaxed, so a writer observing use_count()==1
-    // after a snapshot died gets no happens-before edge over the dead
-    // reader's accesses (the reason unique() was deprecated). Written under
-    // mu except in the destructor, where exclusivity is structural.
-    std::shared_ptr<std::atomic<uint64_t>> pins;
-    bool holds_pin = false;  // fork copies drop one pin on destruction
+    // Edited in place until a version captures it; from then on a writer
+    // changing the list (not the newest hot chunk's tail) edits a copy
+    // (MutableChunks). A version may hold it when chunks_born differs from
+    // publishes. This is deliberately not shared_ptr::use_count(): its
+    // relaxed load gives a writer that sees a version die no happens-before
+    // edge over that version's reads.
+    std::shared_ptr<ChunkList> chunks HYGRAPH_GUARDED_BY(mu);
+    uint64_t publishes HYGRAPH_GUARDED_BY(mu) = 0;   // versions captured
+    uint64_t chunks_born HYGRAPH_GUARDED_BY(mu) = 0;  // publishes at copy
+    // Queued on the store's written list for the next publish; true from
+    // Create so a new series enters the next version.
+    bool written HYGRAPH_GUARDED_BY(mu) = true;
+  };
+
+  /// One series as a reader sees it: its chunk list, and — when the newest
+  /// chunk is hot — how many of that chunk's samples are visible and their
+  /// aggregate. Older hot chunks (compression off) are frozen in any list
+  /// a version holds, so all of their samples are visible. A directory
+  /// entry of a published version; live reads build one under the shard
+  /// lock.
+  struct SeriesVersion {
+    const StoredSeries* series = nullptr;  // null: no such series
+    std::shared_ptr<const ChunkList> chunks;
+    size_t hot_count = 0;
+    AggState hot_agg;
+  };
+
+  /// A published version's series directory, indexed by SeriesId in pages
+  /// of kDirectoryPage entries. Pages are immutable and shared between
+  /// consecutive versions; a republish copies the pages of written series.
+  static constexpr size_t kDirectoryPage = 64;
+  using DirectoryPage = std::array<SeriesVersion, kDirectoryPage>;
+  struct Directory {
+    std::vector<std::shared_ptr<const DirectoryPage>> pages;
+
+    const SeriesVersion* Find(SeriesId id) const {
+      const size_t page = static_cast<size_t>(id / kDirectoryPage);
+      if (page >= pages.size() || pages[page] == nullptr) return nullptr;
+      const SeriesVersion& entry = (*pages[page])[id % kDirectoryPage];
+      return entry.series == nullptr ? nullptr : &entry;
+    }
   };
 
   /// One chunk as pinned by a reader: a refcounted reference to the
@@ -485,50 +530,61 @@ class HypertableStore {
 
   /// Looks the series up under a shared hold of the map lock. The pointer
   /// stays valid for the store's lifetime (series are never destroyed, and
-  /// the map stores stable heap nodes).
+  /// the map stores stable heap nodes). Live stores only.
   StoredSeries* FindSeries(SeriesId id) const;
+
+  /// The one read path of live stores and versions: calls fn(version) for
+  /// `id` under a shared hold of its shard lock — with the version's
+  /// directory entry, or with the live state (two shared acquisitions:
+  /// series map, then shard). NotFound for an unknown id.
+  template <typename Fn>
+  Status VisitSeries(SeriesId id, Fn&& fn) const;
 
   /// Pins the chunks of `id` overlapping `interval` (see class comment).
   /// With `want_aggregates`, each pinned chunk also carries its whole-chunk
-  /// AggState (sealed: precomputed at seal; hot: via the chunk's AggCache).
+  /// AggState (sealed: precomputed at seal; hot: the running aggregate).
   Result<SeriesReadView> PinView(SeriesId id, const Interval& interval,
                                  bool want_aggregates) const;
+  /// PinView's body over one series as `version` sees it.
+  void PinChunks(const SeriesVersion& version, const Interval& interval,
+                 bool want_aggregates, SeriesReadView* view) const;
 
-  /// The series' chunk vector for mutation; requires the shard lock held
-  /// exclusively. Detaches (copies) first when a Fork() pinned it.
-  /// Analysis off inside: the detach copy reads the origin's AggCache::agg
-  /// through the lock-free `fresh` acquire and seeds the fresh copy's
-  /// cache before it is shared.
-  std::vector<Chunk>& MutableChunks(StoredSeries& s) const
-      HYGRAPH_REQUIRES(s.mu) HYGRAPH_NO_THREAD_SAFETY_ANALYSIS;
+  /// Samples of chunk `i` of `version` visible to it.
+  static size_t VisibleSize(const SeriesVersion& version, size_t i);
+  /// The newest chunk's hot form, or null when it is sealed or cold.
+  static HotChunk* NewestHot(const ChunkList& chunks);
+
+  /// Queues `s` for the next publish on its first write since the last.
+  void MarkWritten(StoredSeries& s) HYGRAPH_REQUIRES(s.mu);
+  /// The series' chunk list for editing: a copy first when a version may
+  /// hold it (counted in concurrency.series_cow_copies).
+  ChunkList& MutableChunks(StoredSeries& s) const HYGRAPH_REQUIRES(s.mu);
+  /// The hot form of `chunk` (of a list MutableChunks returned) for
+  /// editing: a copy first when a version may hold it.
+  static HotChunk& PrivateHot(Chunk& chunk, uint64_t publishes);
 
   Interval ChunkSpan(const Chunk& chunk) const {
     return Interval{chunk.start, chunk.start + options_.chunk_duration};
   }
   Timestamp ChunkStartFor(Timestamp t) const;
   /// Index of the chunk owning `t`, inserting a fresh one if needed.
-  size_t ChunkIndexFor(std::vector<Chunk>& chunks, Timestamp t) const;
-  /// Sorted insert of one sample into an (unsealed) chunk.
-  static void InsertIntoChunk(Chunk& chunk, Timestamp t, double value);
-  /// Unseal-if-needed + sorted insert; performs no sealing. Requires the
-  /// shard lock held exclusively.
-  Status InsertRaw(std::vector<Chunk>& chunks, Timestamp t, double value);
+  size_t ChunkIndexFor(ChunkList& chunks, Timestamp t,
+                       uint64_t publishes) const;
+  /// Unseal-if-needed + sorted insert; performs no sealing and returns the
+  /// chunk's index. Requires the shard lock held exclusively and `chunks`
+  /// from MutableChunks.
+  Result<size_t> InsertRaw(StoredSeries& s, ChunkList& chunks, Timestamp t,
+                           double value) HYGRAPH_REQUIRES(s.mu);
 
   /// Encodes a hot chunk into a fresh immutable SealedChunk (aggregate +
-  /// zone map + Gorilla bytes) and drops the hot buffer.
+  /// zone map + Gorilla bytes) and drops its hot form.
   void Seal(Chunk& chunk) const;
-  /// Decodes a sealed chunk back into its hot form. The old SealedChunk is
-  /// released, not mutated — readers pinned to it are unaffected.
-  Status Unseal(Chunk& chunk) const;
+  /// Decodes a sealed chunk back into a fresh hot form. The old
+  /// SealedChunk is released, not mutated — readers pinned to it are
+  /// unaffected.
+  Status Unseal(Chunk& chunk, uint64_t publishes) const;
   /// Seals every chunk except the newest (when compression is on).
-  void SealColdChunks(std::vector<Chunk>& chunks) const;
-
-  /// Whole-chunk aggregate of a hot chunk via its AggCache; safe under a
-  /// shared hold of the shard lock (double-checked fill). Analysis off:
-  /// the fast path reads AggCache::agg lock-free after the `fresh`
-  /// acquire-load (the fill itself runs under the cache mutex).
-  static const AggState& HotAggregate(const Chunk& chunk)
-      HYGRAPH_NO_THREAD_SAFETY_ANALYSIS;
+  void SealColdChunks(ChunkList& chunks) const;
 
   /// Per-thread reusable decode buffers for the sealed read path: Acquire
   /// pops (or creates) a cleared vector, Release returns it. A stack
@@ -678,7 +734,7 @@ class HypertableStore {
     obs::Counter* chunk_pins = nullptr;         ///< sealed chunks pinned by reads
     obs::Counter* snapshot_pins = nullptr;      ///< Fork() calls
     obs::Counter* unseal_conflicts = nullptr;   ///< unseals while readers pinned
-    obs::Counter* series_cow_copies = nullptr;  ///< writer detaches after Fork
+    obs::Counter* series_cow_copies = nullptr;  ///< chunk-list copies
     // Morsel-driven parallel read path.
     obs::Counter* morsels_dispatched = nullptr;  ///< morsels fanned out
     obs::Counter* morsels_stolen = nullptr;      ///< morsels run by pool workers
@@ -692,6 +748,9 @@ class HypertableStore {
   };
 
   HypertableOptions options_;
+  // Set exactly for a version view (Fork()'s result): its reads resolve
+  // series through this directory, and it owns no series or locks.
+  std::shared_ptr<const Directory> version_;
   // Guards series_ and next_id_; exclusive only in Create(). Heap-held so
   // the store stays movable (single-threaded construction pattern; moving
   // a store with live readers is undefined, like any std container).
@@ -702,6 +761,14 @@ class HypertableStore {
   std::unordered_map<SeriesId, std::unique_ptr<StoredSeries>> series_
       HYGRAPH_GUARDED_BY(*map_mu_);
   SeriesId next_id_ HYGRAPH_GUARDED_BY(*map_mu_) = 0;
+  // Serializes Fork()'s republish (rank kSeriesPublish).
+  std::unique_ptr<Mutex> publish_mu_;
+  // The last published version, handed out while nothing is written.
+  mutable std::shared_ptr<const HypertableStore> published_
+      HYGRAPH_GUARDED_BY(*publish_mu_);
+  // Series created or written since the last publish (rank kSeriesWritten).
+  std::unique_ptr<Mutex> written_mu_;
+  mutable std::vector<StoredSeries*> written_ HYGRAPH_GUARDED_BY(*written_mu_);
   // Owned when options.metrics was null; metrics_ and the cached
   // instrument pointers stay valid across moves because the registry is
   // heap-allocated.

@@ -1,9 +1,15 @@
 #include <cmath>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "query/executor.h"
 #include "storage/all_in_graph.h"
+#include "storage/durable.h"
+#include "storage/env.h"
 #include "storage/polyglot.h"
 #include "workloads/bike_sharing.h"
 
@@ -165,6 +171,98 @@ TEST_F(BackendConsistencyTest, WindowAggregate) {
                    "s.bikes, " +
                    std::to_string(t0) + ", " + std::to_string(t1) + ", " +
                    std::to_string(kDay) + ", 'avg', 'max') AS peak");
+}
+
+// DurableStore adds the WAL in front of writes; reads, including the batch
+// and pushed-down count primitives, must reach the wrapped store unchanged
+// instead of falling back to the QueryBackend defaults (per-entity loops,
+// materialize-then-count).
+TEST(DurableForwardingTest, BatchAndCountPushdownReachTheInnerStore) {
+  char tmpl[] = "/tmp/hygraph_durable_forwarding_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  {
+    ts::HypertableOptions options;
+    options.chunk_duration = 100;  // five chunks: four sealed, one hot
+    storage::DurableStore store(
+        storage::Env::Default(), root + "/store",
+        std::make_unique<storage::PolyglotStore>(options));
+    ASSERT_TRUE(store.Open().ok());
+    std::vector<graph::VertexId> sensors;
+    for (int i = 0; i < 3; ++i) {
+      auto v = store.AddVertex({"Sensor"}, {});
+      ASSERT_TRUE(v.ok());
+      sensors.push_back(*v);
+    }
+    auto link = store.AddEdge(sensors[0], sensors[1], "LINK", {});
+    ASSERT_TRUE(link.ok());
+    const std::vector<graph::EdgeId> links = {*link};
+    for (Timestamp t = 0; t < 500; t += 10) {
+      for (size_t i = 0; i < sensors.size(); ++i) {
+        ASSERT_TRUE(store
+                        .AppendVertexSample(sensors[i], "temp", t,
+                                            100.0 * i + t % 100)
+                        .ok());
+      }
+      ASSERT_TRUE(store.AppendEdgeSample(*link, "load", t, t % 70).ok());
+    }
+    const query::QueryBackend& inner = *store.inner();
+    const Interval all{0, 1000};
+
+    const ts::AggKind avg = ts::AggKind::kAvg;
+    auto vertex_batch =
+        store.VertexSeriesAggregateBatch(sensors, "temp", all, avg);
+    auto inner_vertex_batch =
+        inner.VertexSeriesAggregateBatch(sensors, "temp", all, avg);
+    ASSERT_EQ(vertex_batch.size(), sensors.size());
+    ASSERT_EQ(inner_vertex_batch.size(), sensors.size());
+    for (size_t i = 0; i < sensors.size(); ++i) {
+      ASSERT_TRUE(vertex_batch[i].ok());
+      ASSERT_TRUE(inner_vertex_batch[i].ok());
+      EXPECT_EQ(*vertex_batch[i], *inner_vertex_batch[i]);
+    }
+    auto edge_batch =
+        store.EdgeSeriesAggregateBatch(links, "load", all, ts::AggKind::kMax);
+    auto inner_edge_batch =
+        inner.EdgeSeriesAggregateBatch(links, "load", all, ts::AggKind::kMax);
+    ASSERT_EQ(edge_batch.size(), 1u);
+    ASSERT_EQ(inner_edge_batch.size(), 1u);
+    ASSERT_TRUE(edge_batch[0].ok());
+    ASSERT_TRUE(inner_edge_batch[0].ok());
+    EXPECT_EQ(*edge_batch[0], *inner_edge_batch[0]);
+
+    // No sealed chunk of sensor 2 (values 200..290) intersects [1000,
+    // 2000]: the inner store answers from zone maps without decoding.
+    obs::Counter* skipped =
+        inner.metrics()->counter("hypertable.chunks_zonemap_skipped");
+    const uint64_t skipped_before = skipped->value();
+    auto none =
+        store.VertexSeriesCountInRange(sensors[2], "temp", all, 1000, 2000);
+    ASSERT_TRUE(none.ok());
+    EXPECT_EQ(*none, 0u);
+    EXPECT_GT(skipped->value(), skipped_before);
+    auto inner_none =
+        inner.VertexSeriesCountInRange(sensors[2], "temp", all, 1000, 2000);
+    ASSERT_TRUE(inner_none.ok());
+    EXPECT_EQ(*none, *inner_none);
+
+    auto some =
+        store.VertexSeriesCountInRange(sensors[1], "temp", all, 120, 160);
+    auto inner_some =
+        inner.VertexSeriesCountInRange(sensors[1], "temp", all, 120, 160);
+    ASSERT_TRUE(some.ok());
+    ASSERT_TRUE(inner_some.ok());
+    EXPECT_GT(*some, 0u);
+    EXPECT_EQ(*some, *inner_some);
+    auto edge_count = store.EdgeSeriesCountInRange(*link, "load", all, 0, 30);
+    auto inner_edge_count =
+        inner.EdgeSeriesCountInRange(*link, "load", all, 0, 30);
+    ASSERT_TRUE(edge_count.ok());
+    ASSERT_TRUE(inner_edge_count.ok());
+    EXPECT_GT(*edge_count, 0u);
+    EXPECT_EQ(*edge_count, *inner_edge_count);
+  }
+  std::system(("rm -rf " + root).c_str());
 }
 
 }  // namespace

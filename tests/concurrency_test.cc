@@ -274,7 +274,7 @@ TEST(ConcurrencyTest, HypertableRetainVersusScanPhased) {
 
 // ---------------------------------------------------------------------------
 // Hypertable: Fork() taken mid-stress stays frozen while the origin churns
-// (inserts, retains) — and the origin's writers detach copy-on-write.
+// (inserts, retains) — and the origin's writers copy what it holds.
 // ---------------------------------------------------------------------------
 
 TEST(ConcurrencyTest, HypertableForkFrozenDuringStress) {
@@ -316,10 +316,11 @@ TEST(ConcurrencyTest, HypertableForkFrozenDuringStress) {
   stop.store(true, std::memory_order_release);
   mutator.join();
 
-  // The first origin write after the fork detaches the series. On the
-  // single-core reference machine the mutator may not have been scheduled
-  // at all, so force one deterministic write while the fork is still
-  // pinned (a same-value duplicate: invisible to every other assertion).
+  // The first origin write after the fork that is not an in-order append
+  // copies the series' chunk list. On the single-core reference machine
+  // the mutator may not have been scheduled at all, so force one
+  // deterministic out-of-order write while the fork is still pinned (its
+  // expected value: invisible to every other assertion).
   ASSERT_TRUE(store.Insert(id, 1, ExpectedValue(1)).ok());
   const uint64_t cow =
       store.metrics()->counter("concurrency.series_cow_copies")->value();

@@ -43,15 +43,15 @@ TEST(LockRankTest, InOrderAcquisitionIsCountedAndAllowed) {
   obs::MetricsRegistry reg;
   const SyncInstruments in = SyncInstruments::ForRegistry(&reg);
   Mutex low(LockRank::kDurableAppend, in);
-  Mutex high(LockRank::kAggCache, in);
-  LockBoth(low, high);  // 50 after 10: strictly increasing, fine
+  Mutex high(LockRank::kColdTier, in);
+  LockBoth(low, high);  // 55 after 10: strictly increasing, fine
   UnlockBoth(low, high);
   EXPECT_EQ(reg.counter("concurrency.lock_rank_checks")->value(), 2u);
 }
 
 TEST(LockRankTest, ReleaseUnwindsTheHeldStack) {
   if (!kLockRankChecksEnabled) GTEST_SKIP() << "rank checks compiled out";
-  Mutex high(LockRank::kAggCache);
+  Mutex high(LockRank::kColdTier);
   Mutex low(LockRank::kDurableAppend);
   // Taking low AFTER releasing high must be legal — the checker compares
   // against locks still held, not the high-water mark.
@@ -70,7 +70,7 @@ bool TryLockHeldCount(Mutex& mu,
 
 TEST(LockRankTest, TryLockRegistersTheRankOnSuccess) {
   if (!kLockRankChecksEnabled) GTEST_SKIP() << "rank checks compiled out";
-  Mutex high(LockRank::kAggCache);
+  Mutex high(LockRank::kColdTier);
   size_t held_while_locked = 0;
   ASSERT_TRUE(TryLockHeldCount(high, &held_while_locked));
   EXPECT_EQ(held_while_locked, 1u);
@@ -128,10 +128,10 @@ TEST(LockRankDeathTest, ChecksGuardRealProductionPaths) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // A seeded inversion against real engine code: hold a lock ranked ABOVE
   // the hypertable hierarchy, then call into ts::HypertableStore — its series
-  // map lock (kSeriesMap = 30) must refuse to nest under rank 50.
+  // map lock (kSeriesMap = 30) must refuse to nest under rank 55.
   ts::HypertableStore store;
   const SeriesId id = store.Create("sensor");
-  Mutex poison(LockRank::kAggCache);
+  Mutex poison(LockRank::kColdTier);
   EXPECT_DEATH(HoldAndInsert(poison, store, id),
                "lock-rank inversion: acquiring hypertable\\.series_map_mu");
 }

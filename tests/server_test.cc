@@ -237,7 +237,7 @@ TEST_F(ServerTest, PinnedSessionStaysRepeatableAcrossCheckpointColdSpill) {
   ASSERT_TRUE(before.ok()) << before.status().ToString();
 
   // Checkpoint under the pinned session: every sealed chunk leaves RAM for
-  // the cold tier while the session still holds its fork.
+  // the cold tier while the session still holds its version.
   ASSERT_TRUE(tiered->Checkpoint().ok());
   ts::HypertableStore* ht = tiered->inner()->series_hypertable();
   ASSERT_NE(ht, nullptr);
@@ -294,12 +294,24 @@ TEST_F(ServerTest, AdmissionControlShedsBeyondMaxInflight) {
     client->Close();
   });
 
-  // ...while a second connection retries until it observes a shed.
+  // ...and only once it holds the slot does a second connection retry
+  // until it observes a shed. Querying earlier could take the slot first:
+  // the spin would be shed instead, and no query ever would.
+  const obs::Clock* clock = obs::SystemClock::Instance();
+  const uint64_t admit_deadline = clock->NowNanos() + 5'000'000'000ull;
+  auto spin_admitted = [&] {
+    const obs::MetricsSnapshot snap = server->MergedMetrics();
+    const auto it = snap.gauges.find("server.requests_inflight");
+    return it != snap.gauges.end() && it->second >= 1.0;
+  };
+  while (!spin_admitted() && clock->NowNanos() < admit_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(spin_admitted());
   bool shed_seen = false;
   {
     auto client = Connect(*server);
     ASSERT_TRUE(client.ok());
-    const obs::Clock* clock = obs::SystemClock::Instance();
     const uint64_t deadline = clock->NowNanos() + 5'000'000'000ull;
     while (clock->NowNanos() < deadline) {
       auto result = client->Query("MATCH (s:Station) RETURN s.city AS c");

@@ -304,5 +304,156 @@ TEST(SnapshotIsolationTest, HypertableForkIsolation) {
   EXPECT_NE(*origin_scan, *base_scan);
 }
 
+// Without compression every chunk stays hot. A Retain that drops the
+// newest chunk makes an older hot chunk the newest, so in-order appends
+// start landing in it: the version that saw it as an older chunk (all of
+// its samples visible) must not see them.
+TEST(SnapshotIsolationTest, HypertableForkIsolationWithoutCompression) {
+  ts::HypertableOptions options;
+  options.chunk_duration = 100;
+  options.compress_sealed_chunks = false;
+  ts::HypertableStore store(options);
+  const SeriesId id = store.Create("hot");
+  for (int i = 0; i < 15; ++i) {
+    ASSERT_TRUE(store.Insert(id, static_cast<Timestamp>(i) * 10, i).ok());
+  }
+  std::shared_ptr<const ts::HypertableStore> fork = store.Fork();
+  auto base_scan = fork->Scan(id, Interval{});
+  ASSERT_TRUE(base_scan.ok());
+  auto base_sum = fork->Aggregate(id, Interval{}, AggKind::kSum);
+  ASSERT_TRUE(base_sum.ok());
+
+  ASSERT_TRUE(store.Retain(id, Interval{0, 100}).ok());
+  ASSERT_TRUE(store.Insert(id, 95, 42.0).ok());  // in order: newest chunk
+  ASSERT_TRUE(store.Insert(id, 5, 7.0).ok());    // out of order, same chunk
+
+  auto fork_scan = fork->Scan(id, Interval{});
+  ASSERT_TRUE(fork_scan.ok());
+  EXPECT_EQ(*fork_scan, *base_scan);
+  auto fork_sum = fork->Aggregate(id, Interval{}, AggKind::kSum);
+  ASSERT_TRUE(fork_sum.ok());
+  EXPECT_EQ(*fork_sum, *base_sum);
+  auto origin_count = store.SampleCount(id);
+  ASSERT_TRUE(origin_count.ok());
+  EXPECT_EQ(*origin_count, 12u);
+}
+
+// ---------------------------------------------------------------------------
+// What a snapshot costs, counted instead of timed: BeginSnapshot() hands
+// out the published version while nothing was written, and a republish
+// takes locks in proportion to the series written since, never to the
+// series stored.
+// ---------------------------------------------------------------------------
+
+// A polyglot store with `n` single-sample series, one per vertex.
+std::unique_ptr<PolyglotStore> StoreWithSeries(
+    size_t n, std::vector<graph::VertexId>* sensors) {
+  auto store = std::make_unique<PolyglotStore>();
+  EXPECT_TRUE(store
+                  ->MutateTopology([&](graph::PropertyGraph* g) {
+                    for (size_t i = 0; i < n; ++i) {
+                      sensors->push_back(g->AddVertex({"Sensor"}, {}));
+                    }
+                    return Status::OK();
+                  })
+                  .ok());
+  for (graph::VertexId v : *sensors) {
+    EXPECT_TRUE(store->AppendVertexSample(v, "temp", 0, 1.0).ok());
+  }
+  return store;
+}
+
+// Lock acquisitions (shared + exclusive) one BeginSnapshot() makes; every
+// lock of the store reports into its registry.
+uint64_t SnapshotLocks(const PolyglotStore& store) {
+  obs::Counter* shared = store.metrics()->counter("concurrency.lock_shared");
+  obs::Counter* exclusive =
+      store.metrics()->counter("concurrency.lock_exclusive");
+  const uint64_t before = shared->value() + exclusive->value();
+  std::shared_ptr<const QueryBackend> snapshot = store.BeginSnapshot();
+  EXPECT_NE(snapshot, nullptr);
+  return shared->value() + exclusive->value() - before;
+}
+
+// Publishes everything, appends one in-order sample to each of the first
+// `k` series, and counts the locks of the republishing BeginSnapshot().
+uint64_t LocksAfterWrites(PolyglotStore* store,
+                          const std::vector<graph::VertexId>& sensors,
+                          size_t k, Timestamp t) {
+  EXPECT_NE(store->BeginSnapshot(), nullptr);
+  for (size_t i = 0; i < k; ++i) {
+    EXPECT_TRUE(store->AppendVertexSample(sensors[i], "temp", t, 2.0).ok());
+  }
+  return SnapshotLocks(*store);
+}
+
+TEST(SnapshotCostTest, UnchangedStoreSnapshotLocksDoNotGrowWithSeries) {
+  std::vector<graph::VertexId> small_sensors;
+  std::vector<graph::VertexId> large_sensors;
+  auto small = StoreWithSeries(750, &small_sensors);
+  auto large = StoreWithSeries(30000, &large_sensors);
+  // The first pin publishes; the next ones find nothing written.
+  ASSERT_NE(small->BeginSnapshot(), nullptr);
+  ASSERT_NE(large->BeginSnapshot(), nullptr);
+  const uint64_t small_locks = SnapshotLocks(*small);
+  EXPECT_EQ(SnapshotLocks(*large), small_locks);
+  EXPECT_EQ(SnapshotLocks(*small), small_locks);
+  // The same version object while nothing changes.
+  EXPECT_EQ(large->BeginSnapshot(), large->BeginSnapshot());
+}
+
+TEST(SnapshotCostTest, RepublishLocksFollowSeriesWritten) {
+  std::vector<graph::VertexId> small_sensors;
+  std::vector<graph::VertexId> large_sensors;
+  auto small = StoreWithSeries(750, &small_sensors);
+  auto large = StoreWithSeries(30000, &large_sensors);
+  const uint64_t small_10 =
+      LocksAfterWrites(small.get(), small_sensors, 10, 60);
+  const uint64_t large_10 =
+      LocksAfterWrites(large.get(), large_sensors, 10, 60);
+  const uint64_t large_40 =
+      LocksAfterWrites(large.get(), large_sensors, 40, 120);
+  EXPECT_EQ(large_10, small_10);
+  EXPECT_GT(large_40, large_10);
+  EXPECT_LT(large_40, small_sensors.size());
+}
+
+// An in-order append inside the newest chunk copies nothing while a
+// snapshot holds the series, and the snapshot keeps its exact state; one
+// out-of-order append copies the series' chunk list exactly once.
+TEST(SnapshotCostTest, InOrderAppendsCopyNothingWhileSnapshotLive) {
+  ts::HypertableOptions options;
+  options.chunk_duration = 1000;
+  PolyglotStore store(options);
+  graph::VertexId sensor = 0;
+  ASSERT_TRUE(store
+                  .MutateTopology([&](graph::PropertyGraph* g) {
+                    sensor = g->AddVertex({"Sensor"}, {});
+                    return Status::OK();
+                  })
+                  .ok());
+  // Chunks [0, 1000) and [1000, 2000) sealed, [2000, 3000) hot.
+  for (Timestamp t = 0; t < 2500; t += 10) {
+    ASSERT_TRUE(store.AppendVertexSample(sensor, "temp", t, t * 0.5).ok());
+  }
+  std::shared_ptr<const QueryBackend> snapshot = store.BeginSnapshot();
+  ASSERT_NE(snapshot, nullptr);
+  const std::string pinned = Signature(*snapshot);
+  obs::Counter* cow =
+      store.metrics()->counter("concurrency.series_cow_copies");
+  const uint64_t cow_before = cow->value();
+
+  for (Timestamp t = 2500; t < 3000; t += 10) {
+    ASSERT_TRUE(store.AppendVertexSample(sensor, "temp", t, t * 0.5).ok());
+  }
+  EXPECT_EQ(cow->value(), cow_before);
+  EXPECT_EQ(Signature(*snapshot), pinned);
+
+  ASSERT_TRUE(store.AppendVertexSample(sensor, "temp", 2005, -1.0).ok());
+  EXPECT_EQ(cow->value(), cow_before + 1);
+  EXPECT_EQ(Signature(*snapshot), pinned);
+  EXPECT_NE(Signature(store), pinned);
+}
+
 }  // namespace
 }  // namespace hygraph
