@@ -113,9 +113,8 @@ void BenchCodec(size_t chunks) {
 // ---------------------------------------------------------------------------
 // 2. Decode path: the streaming scalar decoder vs the wide columnar decoder
 //    on identical sealed payloads. The scalar path is the fuzz-hardened
-//    reference; the wide path is what the morsel-driven parallel scan runs
-//    per chunk, so its single-thread advantage is the floor every parallel
-//    speedup multiplies.
+//    reference; the wide path is what every hypertable read runs per
+//    sealed chunk, so its advantage is what a decode-bound read gains.
 
 int BenchDecodePath(size_t chunks, bool smoke) {
   PrintHeader("Decode path: scalar streaming vs wide columnar");

@@ -17,15 +17,6 @@
 //   4. Mixed 1 writer + N readers — ingest p99 while scan threads churn,
 //      showing writer latency under read load (shard locks are per-series,
 //      so cross-series readers barely move the writer's tail).
-//   5. Morsel-driven parallel scan scaling — ONE caller thread fanning a
-//      sealed scan over the worker pool, swept over per-scan thread caps
-//      (1 → 2 → 4 threads total) with speedup and efficiency per point.
-//      Two guards, mirroring section 3's lock-freedom check: a
-//      deterministic one (the parallel store must actually fan out one
-//      morsel per overlapping chunk, the serial store must fan out none)
-//      that runs everywhere, and a timing one (>=3x speedup at 4 threads)
-//      enforced only on full runs with >=4 hardware threads — smoke/TSan
-//      timings and single-core machines cannot express the ratio.
 //
 // `--smoke` shrinks the workload for CI.
 
@@ -34,14 +25,11 @@
 #include <cstdio>
 #include <cstring>
 #include <atomic>
-#include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/thread_pool.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "storage/polyglot.h"
@@ -251,101 +239,6 @@ void BenchMixed(bool smoke) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// 5. Morsel-driven parallel scan scaling: one caller thread, the worker
-// pool doing the per-chunk decode, swept over per-scan thread caps. The
-// per-store `parallel_scan_cap` bounds each point because the process-wide
-// pool is grow-only — workers beyond the cap exist but never attach.
-
-int BenchParallelScaling(bool smoke) {
-  PrintHeader("Morsel-driven parallel sealed-scan scaling (worker pool)");
-  const size_t samples = smoke ? 20000 : 200000;
-  const size_t scans = smoke ? 40 : 200;
-  const Interval window{0, static_cast<Timestamp>(samples) * 1000};
-
-  auto build = [&](bool parallel, size_t cap) {
-    ts::HypertableOptions options;
-    options.chunk_duration = kHour;
-    options.parallel_scan = parallel;
-    options.parallel_scan_cap = cap;
-    auto store = std::make_unique<ts::HypertableStore>(options);
-    const SeriesId id = store->Create("scaling");
-    for (size_t i = 0; i < samples; ++i) {
-      const Timestamp t = static_cast<Timestamp>(i) * 1000;  // 1s cadence
-      if (!store->Insert(id, t, ValueAt(t)).ok()) std::exit(1);
-    }
-    return std::make_pair(std::move(store), id);
-  };
-  auto scan_ms = [&](ts::HypertableStore& store, SeriesId id) {
-    return TimeMs([&] {
-      for (size_t i = 0; i < scans; ++i) {
-        size_t count = 0;
-        auto status = store.ScanVisit(
-            id, window, [&count](const ts::Sample&) { ++count; });
-        if (!status.ok() || count != samples) std::exit(1);
-      }
-    });
-  };
-
-  bool ok = true;
-  auto [serial_store, serial_id] = build(/*parallel=*/false, 0);
-  const double serial_ms = scan_ms(*serial_store, serial_id);
-  std::printf("threads=1  scans/sec: %8.1f  (serial baseline)\n",
-              static_cast<double>(scans) / (serial_ms / 1e3));
-  Record("pscan_serial_scans_per_sec",
-         static_cast<double>(scans) / (serial_ms / 1e3), "scans/sec");
-  if (serial_store->stats().morsels_dispatched != 0) {
-    std::fprintf(stderr, "FAIL: serial store fanned out morsels\n");
-    ok = false;
-  }
-
-  ThreadPool* pool = ThreadPool::Instance();
-  if (pool->worker_count() < 3) pool->SetWorkerCount(3);
-  double speedup_at_4 = 0.0;
-  for (const size_t threads : {2u, 4u}) {
-    auto [store, id] = build(/*parallel=*/true, threads);
-    const double ms = scan_ms(*store, id);
-    const double speedup = serial_ms / ms;
-    const double efficiency = speedup / static_cast<double>(threads);
-    const ts::HypertableStats st = store->stats();
-    std::printf("threads=%zu  scans/sec: %8.1f  speedup: %5.2fx  "
-                "efficiency: %4.2f  morsels: %zu (%zu stolen)\n",
-                threads, static_cast<double>(scans) / (ms / 1e3), speedup,
-                efficiency, st.morsels_dispatched, st.morsels_stolen);
-    Record("pscan_speedup_t" + std::to_string(threads), speedup, "x");
-    Record("pscan_efficiency_t" + std::to_string(threads), efficiency,
-           "speedup/thread");
-    if (threads == 4) speedup_at_4 = speedup;
-    // Deterministic fan-out guard: every scan fans out one morsel per
-    // overlapping chunk, and the series spans well over two chunks.
-    if (st.morsels_dispatched < 2 * scans) {
-      std::fprintf(stderr,
-                   "FAIL: parallel store dispatched %zu morsels over %zu "
-                   "scans — fan-out did not engage\n",
-                   st.morsels_dispatched, scans);
-      ok = false;
-    }
-  }
-
-  // Timing guard, hardware-permitting: on a full run with >=4 hardware
-  // threads the 4-thread point must hold a 3x sealed-scan speedup.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (!smoke && hw >= 4) {
-    if (speedup_at_4 < 3.0) {
-      std::fprintf(stderr,
-                   "FAIL: 4-thread sealed-scan speedup %.2fx below the 3x "
-                   "floor (hardware threads: %u)\n",
-                   speedup_at_4, hw);
-      ok = false;
-    }
-  } else {
-    std::printf("(timing guard skipped: %s, %u hardware threads)\n",
-                smoke ? "smoke run" : "full run", hw);
-  }
-  Record("pscan_scaling_ok", ok ? 1.0 : 0.0, "bool");
-  return ok ? 0 : 1;
-}
-
 void WriteJson() {
   FILE* f = std::fopen("BENCH_concurrency.json", "w");
   if (f == nullptr) {
@@ -372,12 +265,8 @@ void WriteJson() {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   hygraph::bench::BenchIngestBaseline(smoke);
-  int rc = hygraph::bench::BenchReaderScaling(smoke);
+  const int rc = hygraph::bench::BenchReaderScaling(smoke);
   hygraph::bench::BenchMixed(smoke);
-  if (const int scaling_rc = hygraph::bench::BenchParallelScaling(smoke);
-      rc == 0) {
-    rc = scaling_rc;
-  }
   hygraph::bench::WriteJson();
   return rc;
 }

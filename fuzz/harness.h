@@ -29,8 +29,9 @@ void FuzzSerializeLoad(const uint8_t* data, size_t size);
 /// query::Tokenize / Parse / ParseExpression.
 void FuzzHgqlParse(const uint8_t* data, size_t size);
 
-/// ts::DecodeChunk / ChunkDecoder over the sealed-chunk codec bytes, plus
-/// an encode/decode fixed-point check on accepted inputs.
+/// ts::DecodeChunkWide against the scalar ts::DecodeChunk / ChunkDecoder
+/// over the sealed-chunk codec bytes (same verdict, bit-identical
+/// samples), plus an encode/decode fixed-point check on accepted inputs.
 void FuzzChunkCodec(const uint8_t* data, size_t size);
 
 /// server::DecodeFrame / DecodeRequest / DecodeResponse over the HGQL wire
@@ -38,7 +39,7 @@ void FuzzChunkCodec(const uint8_t* data, size_t size);
 void FuzzWireFrame(const uint8_t* data, size_t size);
 
 /// storage::ParseColdCatalog over untrusted catalog bytes, then
-/// SegmentStore::LoadCatalog + Pin + ts::DecodeChunk with the same bytes
+/// SegmentStore::LoadCatalog + Pin + FuzzChunkCodec with the same bytes
 /// planted as segment files — the full cold-chunk adoption frontier.
 void FuzzSegmentLoad(const uint8_t* data, size_t size);
 

@@ -1,11 +1,9 @@
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "fuzz/harness.h"
 #include "fuzz/mem_env.h"
 #include "storage/segment/segment_store.h"
-#include "ts/chunk_codec.h"
 
 namespace hygraph::fuzz {
 
@@ -18,9 +16,12 @@ namespace hygraph::fuzz {
 ///      encode/parse fixed point bit-exactly (doubles travel as u64 hex).
 ///   2. SegmentStore::LoadCatalog — the same bytes behind a MemEnv file;
 ///      registration must mirror the standalone parse verdict.
-///   3. Pin + DecodeChunk over segment files that hold the SAME hostile
+///   3. Pin + decode over segment files that hold the SAME hostile
 ///      bytes — a catalog entry pointing into garbage must surface as a
-///      clean error (CRC/short-read) or decode totally, never crash.
+///      clean error (CRC/short-read) or decode totally, never crash. A
+///      pinned payload goes through FuzzChunkCodec: the wide decoder every
+///      read runs and the scalar one must reach the same verdict and
+///      samples.
 void FuzzSegmentLoad(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
 
@@ -70,10 +71,8 @@ void FuzzSegmentLoad(const uint8_t* data, size_t size) {
       continue;
     }
     HYGRAPH_FUZZ_CHECK((*pinned)->size() == e.length);
-    auto decoded = ts::DecodeChunk(**pinned);
-    if (decoded.ok()) {
-      HYGRAPH_FUZZ_CHECK(decoded->size() <= (*pinned)->size());
-    }
+    FuzzChunkCodec(reinterpret_cast<const uint8_t*>((*pinned)->data()),
+                   (*pinned)->size());
   }
 }
 

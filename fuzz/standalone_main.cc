@@ -21,10 +21,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", argv[i]);
       return 1;
     }
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(bytes.data()),
-                           bytes.size());
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    // An exactly sized copy, as libFuzzer passes: the string's terminator
+    // and spare capacity would hide a one-byte over-read from
+    // AddressSanitizer.
+    const std::vector<uint8_t> bytes(file.begin(), file.end());
+    LLVMFuzzerTestOneInput(bytes.data(), bytes.size());
     ++executed;
   }
   std::printf("replayed %d input(s) without a crash\n", executed);

@@ -79,10 +79,6 @@ enum class LockRank : int {
   /// Hypertable written-series list: writers queue a series for the next
   /// publish on its first write since the last one, shard lock held.
   kSeriesWritten = 42,
-  /// Worker-pool queue mutex (common/thread_pool.h). Sits below the shard
-  /// lock: fan-out happens after every shard lock is released (morsels run
-  /// over pinned, immutable chunks).
-  kThreadPool = 45,
   /// Cold-tier segment/cache state (storage/segment). Acquirable under a
   /// series shard lock (spill writes and lazy pins happen while the shard
   /// is held or while decoding pinned chunks) and under durable.append_mu_
@@ -117,8 +113,6 @@ constexpr const char* LockRankName(LockRank rank) {
       return "hypertable.series_shard_mu";
     case LockRank::kSeriesWritten:
       return "hypertable.written_mu";
-    case LockRank::kThreadPool:
-      return "thread_pool.queue_mu";
     case LockRank::kColdTier:
       return "segment_store.state_mu";
     case LockRank::kEnvState:

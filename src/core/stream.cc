@@ -217,12 +217,23 @@ Status StreamProcessor::ApplyImpl(const UpdateEvent& event) {
 
 void StreamProcessor::MaybeEvict() {
   if (options_.retention <= 0) return;
-  if (stats_.watermark - last_eviction_ < options_.eviction_period &&
-      last_eviction_ != kMinTimestamp) {
+  // kMinTimestamp means "never evicted". Otherwise watermark >=
+  // last_eviction_, and their distance can exceed INT64_MAX, so it is
+  // measured in uint64_t.
+  const uint64_t since_eviction = static_cast<uint64_t>(stats_.watermark) -
+                                  static_cast<uint64_t>(last_eviction_);
+  if (last_eviction_ != kMinTimestamp && options_.eviction_period > 0 &&
+      since_eviction < static_cast<uint64_t>(options_.eviction_period)) {
     return;
   }
   last_eviction_ = stats_.watermark;
-  const Interval keep{stats_.watermark - options_.retention, kMaxTimestamp};
+  // Saturate at kMinTimestamp: watermark - retention overflows for event
+  // times within `retention` of it, and nothing is older than that anyway.
+  const Timestamp keep_from =
+      stats_.watermark < kMinTimestamp + options_.retention
+          ? kMinTimestamp
+          : stats_.watermark - options_.retention;
+  const Interval keep{keep_from, kMaxTimestamp};
   for (graph::VertexId v : hg_->TsVertices()) {
     auto removed = hg_->RetainVertexSeries(v, keep);
     if (removed.ok()) stats_.samples_evicted += *removed;

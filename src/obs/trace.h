@@ -60,14 +60,6 @@ class Tracer {
   /// Adds `delta` to a counter on the innermost open span (the root when
   /// no span is open).
   void AddCounter(const std::string& name, uint64_t delta);
-  /// Merges a pre-aggregated child span under the innermost open span,
-  /// using the same same-name merge rule as Begin/End. This is how time
-  /// measured off-thread enters the tree: worker threads cannot Begin/End
-  /// on this (single-threaded) tracer, so the owner sums their busy time
-  /// and folds it in after the join. The child's nanos may exceed the
-  /// parent's wall time — workers run concurrently; self_nanos clamps.
-  void MergeChildSpan(const std::string& name, uint64_t count,
-                      uint64_t nanos);
 
   /// The synthetic root whose children are the top-level spans. Valid
   /// once all spans have ended; its total_nanos is the sum of top-level
@@ -104,13 +96,6 @@ class ScopedSpan {
 
   void AddCounter(const std::string& name, uint64_t delta) {
     if (tracer_ != nullptr && delta != 0) tracer_->AddCounter(name, delta);
-  }
-  /// Folds off-thread work in as a merged child of this span (no-op when
-  /// disabled or when there is nothing to record).
-  void MergeChild(const std::string& name, uint64_t count, uint64_t nanos) {
-    if (tracer_ != nullptr && count != 0) {
-      tracer_->MergeChildSpan(name, count, nanos);
-    }
   }
   bool enabled() const { return tracer_ != nullptr; }
 

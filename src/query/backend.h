@@ -186,11 +186,12 @@ class QueryBackend {
 
   /// Batch range aggregate: one result per entity, all over the same
   /// (key, interval, kind). Multi-entity HGQL aggregate queries funnel
-  /// through here so engines can fan the batch out across a worker pool
-  /// (the hypertable runs one morsel per series). Per-entity failures are
-  /// reported in that entity's slot; the call itself only fails on
-  /// batch-wide conditions (cancellation, deadline, budget). The default
-  /// loops over the single-entity virtuals.
+  /// through here, so an engine can resolve every entity's series in one
+  /// pass (the hypertable then aggregates them one after another on the
+  /// calling thread). Per-entity failures are reported in that entity's
+  /// slot; the call itself only fails on batch-wide conditions
+  /// (cancellation, deadline, budget). The default loops over the
+  /// single-entity virtuals.
   virtual std::vector<Result<double>> VertexSeriesAggregateBatch(
       const std::vector<graph::VertexId>& vertices, const std::string& key,
       const Interval& interval, ts::AggKind kind) const;

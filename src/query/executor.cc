@@ -144,38 +144,10 @@ Result<QueryResult> RunPlanImpl(const QueryBackend& backend, const Plan& plan,
     }
     span.AddCounter("properties_scanned", d.properties_scanned);
   };
-  // Parallel-scan attribution: the worker pool's busy time cannot Begin/End
-  // spans on this single-threaded tracer, so each instrumented block
-  // differences the pool counters and folds the delta in as a merged
-  // "scan.workers" child after the join.
-  obs::MetricsRegistry* registry = read.metrics();
-  struct PoolWork {
-    uint64_t dispatched = 0;
-    uint64_t stolen = 0;
-    uint64_t busy_nanos = 0;
-  };
-  auto pool_work = [&]() -> PoolWork {
-    if (!traced || registry == nullptr) return {};
-    PoolWork w;
-    w.dispatched = registry->counter("hypertable.morsels_dispatched")->value();
-    w.stolen = registry->counter("hypertable.morsels_stolen")->value();
-    w.busy_nanos = registry->counter("concurrency.pool_busy_nanos")->value();
-    return w;
-  };
-  auto attach_pool_work = [&](obs::ScopedSpan& span, const PoolWork& before) {
-    if (!traced || registry == nullptr) return;
-    const PoolWork now = pool_work();
-    span.AddCounter("morsels_dispatched", now.dispatched - before.dispatched);
-    span.AddCounter("morsels_stolen", now.stolen - before.stolen);
-    span.MergeChild("scan.workers", now.dispatched - before.dispatched,
-                    now.busy_nanos - before.busy_nanos);
-  };
-
   // Multi-entity aggregate prefetch: a ts_* range aggregate with literal
   // interval bounds evaluates identically for every row binding the same
   // entity, so compute it for all matched entities in one backend batch
-  // call (the hypertable fans the batch out across the worker pool — one
-  // morsel per series) and let per-row evaluation hit the memo.
+  // call and let per-row evaluation hit the memo.
   if (matches->size() >= 2) {
     std::vector<AggregateCallSite> sites;
     if (plan.residual_where) {
@@ -190,7 +162,6 @@ Result<QueryResult> RunPlanImpl(const QueryBackend& backend, const Plan& plan,
     if (!sites.empty()) {
       obs::ScopedSpan prefetch_span(tracer, "prefetch");
       const BackendWork before = traced ? read.Work() : BackendWork{};
-      const PoolWork pool_before = pool_work();
       for (const AggregateCallSite& site : sites) {
         std::vector<Binding> entities;
         entities.reserve(matches->size());
@@ -209,7 +180,6 @@ Result<QueryResult> RunPlanImpl(const QueryBackend& backend, const Plan& plan,
                                      site.kind);
       }
       attach_work(prefetch_span, before);
-      attach_pool_work(prefetch_span, pool_before);
       prefetch_span.AddCounter("sites", sites.size());
     }
   }
@@ -233,7 +203,6 @@ Result<QueryResult> RunPlanImpl(const QueryBackend& backend, const Plan& plan,
 
   {
     obs::ScopedSpan scan_span(tracer, "scan");
-    const PoolWork scan_pool_before = pool_work();
     for (const graph::PatternMatch& match : *matches) {
       // One governance unit per row; the deep scans the evaluator triggers
       // (hypertable decode, property sweeps) charge their own samples via
@@ -284,7 +253,6 @@ Result<QueryResult> RunPlanImpl(const QueryBackend& backend, const Plan& plan,
       }
     }
     scan_span.AddCounter("rows", pending.size());
-    attach_pool_work(scan_span, scan_pool_before);
   }
 
   if (plan.distinct) {

@@ -68,7 +68,7 @@ std::vector<Result<double>> PlanAggregateBatch(
 }
 
 // Runs the resolved series through the hypertable's batch aggregate (one
-// morsel per series) and scatters the answers into their slots. A
+// series after another) and scatters the answers into their slots. A
 // batch-wide failure (cancellation, deadline, budget) overwrites every
 // slot; per-series errors come back inside the results themselves.
 void ScatterAggregateBatch(const ts::HypertableStore& store,

@@ -84,9 +84,10 @@ class PolyglotStore final : public query::QueryBackend {
                                      const Interval& interval,
                                      ts::AggKind kind) const override;
 
-  /// Batch aggregates fan out across the worker pool — one morsel per
-  /// series via HypertableStore::AggregateMany (the multi-entity Table 1
-  /// query shape: one aggregate per matched station/account).
+  /// Batch aggregates resolve every entity's series, then run them through
+  /// HypertableStore::AggregateMany, one series after another (the
+  /// multi-entity Table 1 query shape: one aggregate per matched
+  /// station/account).
   std::vector<Result<double>> VertexSeriesAggregateBatch(
       const std::vector<graph::VertexId>& vertices, const std::string& key,
       const Interval& interval, ts::AggKind kind) const override;

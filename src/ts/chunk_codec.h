@@ -100,8 +100,8 @@ Result<std::vector<Sample>> DecodeChunk(std::string_view bytes);
 /// through unchecked 64-bit unaligned loads while at least 16 bytes of
 /// input remain (a worst-case token is 78 bits, so every load stays in
 /// bounds), falling back to the fully-checked token path for the tail.
-/// `out` is cleared first and its capacity reused (the parallel scan path
-/// decodes every morsel into a reusable scratch buffer); on failure `out`
+/// `out` is cleared first and its capacity reused (a hypertable read
+/// decodes each of its chunks into one scratch buffer); on failure `out`
 /// is left empty. Totality over untrusted bytes is preserved: any input is
 /// either accepted or rejected with kCorruption, with allocations bounded
 /// by the declared count (itself bounded by the input size).

@@ -48,17 +48,17 @@ struct ColdChunkMeta {
 ///     chunk cache: a hit is RAM-speed, a miss loads from disk and verifies
 ///     the record's CRC frame. The returned shared_ptr keeps the bytes
 ///     alive regardless of cache eviction — eviction only drops the
-///     cache's own reference, so in-flight parallel scans are never
-///     invalidated (refcount-safe, mirroring SealedChunk pinning).
+///     cache's own reference, so in-flight scans are never invalidated
+///     (refcount-safe, mirroring SealedChunk pinning).
 ///   * Forget removes the handle from the live set (the next catalog write
 ///     omits it) but the record stays pinnable for the process lifetime:
 ///     readers holding a PinnedChunk over an unsealed-or-retained cold
 ///     chunk keep their snapshot semantics.
 ///
 /// Thread safety: all three methods are safe to call concurrently; Pin is
-/// called from parallel scan morsels. Implementations rank their internal
-/// lock at LockRank::kColdTier (above the series shard lock, below the env
-/// leaf).
+/// called by every session thread whose scan decodes a cold chunk.
+/// Implementations rank their internal lock at LockRank::kColdTier (above
+/// the series shard lock, below the env leaf).
 class ColdTier {
  public:
   virtual ~ColdTier();

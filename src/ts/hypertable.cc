@@ -5,86 +5,7 @@
 #include <memory>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace hygraph::ts {
-
-namespace {
-/// Per-thread stack of reusable decode buffers (see AcquireScratch).
-thread_local std::vector<std::vector<Sample>> t_scratch_pool;
-}  // namespace
-
-std::vector<Sample> HypertableStore::AcquireScratch() {
-  if (t_scratch_pool.empty()) return {};
-  std::vector<Sample> scratch = std::move(t_scratch_pool.back());
-  t_scratch_pool.pop_back();
-  return scratch;
-}
-
-void HypertableStore::ReleaseScratch(std::vector<Sample> scratch) {
-  // Keep the stack small: a deep nest leaves at most a handful of buffers
-  // alive, and pathological callers should not pin memory forever.
-  if (t_scratch_pool.size() < 8) {
-    t_scratch_pool.push_back(std::move(scratch));
-  }
-}
-
-bool HypertableStore::ShouldParallelize(const SeriesReadView& view) const {
-  return options_.parallel_scan && view.chunks.size() >= 2 &&
-         ThreadPool::Instance()->worker_count() > 0;
-}
-
-Status HypertableStore::RunChunkMorsels(
-    size_t n, bool parallel, const QueryContext* ctx,
-    const std::function<Status(size_t)>& morsel) const {
-  const std::function<Status(size_t)> body = [&](size_t i) -> Status {
-    if (ctx != nullptr) HYGRAPH_RETURN_IF_ERROR(ctx->CheckCrossThread());
-    return morsel(i);
-  };
-  if (parallel) {
-    ParallelForStats stats;
-    stats.morsels_dispatched = m_.morsels_dispatched;
-    stats.morsels_stolen = m_.morsels_stolen;
-    stats.worker_busy_nanos = m_.pool_busy_nanos;
-    return ThreadPool::Instance()->ParallelFor(
-        n, options_.parallel_scan_cap, body, stats);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    HYGRAPH_RETURN_IF_ERROR(body(i));
-  }
-  return Status::OK();
-}
-
-Status HypertableStore::ParallelScanChunks(
-    const SeriesReadView& view, const Interval& interval,
-    const ScanPredicate& predicate,
-    std::vector<std::vector<Sample>>* buffers) const {
-  QueryContext* ctx = QueryContext::Current();
-  const size_t n = view.chunks.size();
-  buffers->clear();
-  buffers->resize(n);
-  std::vector<uint64_t> work(n, 0);
-  const Status run =
-      RunChunkMorsels(n, /*parallel=*/true, ctx, [&](size_t i) -> Status {
-        const PinnedChunk& chunk = view.chunks[i];
-        if (chunk.has_zone && !predicate.unbounded() &&
-            !(chunk.min_v <= predicate.max_value &&
-              chunk.max_v >= predicate.min_value)) {
-          m_.chunks_zonemap_skipped->Increment();
-          return Status::OK();
-        }
-        m_.chunks_scanned->Increment();
-        std::vector<Sample>& out = (*buffers)[i];
-        return ForEachChunkSample(chunk, interval, predicate, &work[i],
-                                  [&out](const Sample& s) {
-                                    out.push_back(s);
-                                  });
-      });
-  uint64_t total = 0;
-  for (uint64_t w : work) total += w;
-  if (ctx != nullptr && total > 0) HYGRAPH_RETURN_IF_ERROR(ctx->Charge(total));
-  return run;
-}
 
 Status HypertableStore::NoSuchSeries(SeriesId id) {
   return Status::NotFound("no series with id " + std::to_string(id));
@@ -114,20 +35,10 @@ HypertableStore::HypertableStore(HypertableOptions options)
   m_.snapshot_pins = metrics_->counter("concurrency.snapshot_pins");
   m_.unseal_conflicts = metrics_->counter("concurrency.chunk_unseal_conflicts");
   m_.series_cow_copies = metrics_->counter("concurrency.series_cow_copies");
-  m_.morsels_dispatched = metrics_->counter("hypertable.morsels_dispatched");
-  m_.morsels_stolen = metrics_->counter("hypertable.morsels_stolen");
   m_.cold_chunks_spilled = metrics_->counter("hypertable.cold_chunks_spilled");
   m_.cold_bytes_spilled = metrics_->counter("hypertable.cold_bytes_spilled");
   m_.cold_chunks_adopted = metrics_->counter("hypertable.cold_chunks_adopted");
   m_.cold_pins = metrics_->counter("hypertable.cold_pins");
-  m_.pool_busy_nanos = metrics_->counter("concurrency.pool_busy_nanos");
-  m_.pool_threads = metrics_->counter("concurrency.pool_threads");
-  // A gauge in counter clothing, set once per registry: the pool's helper
-  // count (0 = fan-outs run serially), so one metrics snapshot records the
-  // concurrency every scan in this registry ran under.
-  if (m_.pool_threads->value() == 0) {
-    m_.pool_threads->Add(ThreadPool::Instance()->worker_count());
-  }
   sync_ = SyncInstruments::ForRegistry(metrics_);
   map_mu_ = std::make_unique<SharedMutex>(LockRank::kSeriesMap, sync_);
   publish_mu_ = std::make_unique<Mutex>(LockRank::kSeriesPublish, sync_);
@@ -430,8 +341,8 @@ void HypertableStore::PinChunks(const SeriesVersion& version,
       m_.chunk_pins->Increment();
     } else if (chunk.is_cold()) {
       // Only the handle + metadata are pinned here; the bytes are pinned
-      // lazily by ForEachChunkSample, so zone-map-skipped and
-      // aggregate-covered cold chunks never touch the tier.
+      // lazily by VisitChunk, so zone-map-skipped and aggregate-covered
+      // cold chunks never touch the tier.
       p.cold_id = chunk.cold;
       p.cold_meta = chunk.cold_meta;
       p.tier = options_.cold_tier;
@@ -712,20 +623,12 @@ Result<std::vector<Sample>> HypertableStore::Scan(
   }
   std::vector<Sample> out;
   out.reserve(view->overlap_estimate);
-  if (ShouldParallelize(*view)) {
-    std::vector<std::vector<Sample>> buffers;
-    HYGRAPH_RETURN_IF_ERROR(
-        ParallelScanChunks(*view, interval, ScanPredicate{}, &buffers));
-    for (const std::vector<Sample>& buffer : buffers) {
-      out.insert(out.end(), buffer.begin(), buffer.end());
-    }
-    return out;
-  }
+  std::vector<Sample> scratch;
   for (const PinnedChunk& chunk : view->chunks) {
     m_.chunks_scanned->Increment();
     HYGRAPH_RETURN_IF_ERROR(
-        VisitPinned(chunk, interval, ScanPredicate{},
-                    [&out](const Sample& s) { out.push_back(s); }));
+        VisitChunk(chunk, interval, ScanPredicate{}, &scratch,
+                   [&out](const Sample& s) { out.push_back(s); }));
   }
   return out;
 }
@@ -743,22 +646,11 @@ Result<Series> HypertableStore::Materialize(SeriesId id,
   Series out(view->name);
   out.Reserve(view->overlap_estimate);
   Status append = Status::OK();
-  if (ShouldParallelize(*view)) {
-    std::vector<std::vector<Sample>> buffers;
-    HYGRAPH_RETURN_IF_ERROR(
-        ParallelScanChunks(*view, interval, ScanPredicate{}, &buffers));
-    for (const std::vector<Sample>& buffer : buffers) {
-      for (const Sample& s : buffer) {
-        if (append.ok()) append = out.Append(s.t, s.value);
-      }
-    }
-    HYGRAPH_RETURN_IF_ERROR(append);
-    return out;
-  }
+  std::vector<Sample> scratch;
   for (const PinnedChunk& chunk : view->chunks) {
     m_.chunks_scanned->Increment();
-    HYGRAPH_RETURN_IF_ERROR(
-        VisitPinned(chunk, interval, ScanPredicate{}, [&](const Sample& s) {
+    HYGRAPH_RETURN_IF_ERROR(VisitChunk(
+        chunk, interval, ScanPredicate{}, &scratch, [&](const Sample& s) {
           if (append.ok()) append = out.Append(s.t, s.value);
         }));
   }
@@ -772,151 +664,79 @@ Result<size_t> HypertableStore::CountMatching(
   auto view = PinView(id, interval, /*want_aggregates=*/false);
   if (!view.ok()) return view.status();
   m_.chunks_total->Add(view->chunk_count);
-  QueryContext* ctx = QueryContext::Current();
-  const size_t chunks = view->chunks.size();
-  std::vector<size_t> counts(chunks, 0);
-  std::vector<uint64_t> work(chunks, 0);
-  const Status run = RunChunkMorsels(
-      chunks, ShouldParallelize(*view), ctx, [&](size_t i) -> Status {
-        const PinnedChunk& chunk = view->chunks[i];
-        if (chunk.has_zone) {
-          if (!predicate.unbounded() &&
-              !(chunk.min_v <= predicate.max_value &&
-                chunk.max_v >= predicate.min_value)) {
-            m_.chunks_zonemap_skipped->Increment();
-            return Status::OK();
-          }
-          // Whole-chunk match: every sample is inside the interval and the
-          // zone's value range satisfies the predicate end to end. Works
-          // for cold chunks too — the zone map is resident, so this path
-          // never pins the bytes.
-          if (interval.Contains(chunk.first_t) &&
-              interval.Contains(chunk.last_t) && chunk.all_finite &&
-              predicate.Matches(chunk.min_v) &&
-              predicate.Matches(chunk.max_v)) {
-            counts[i] = chunk.size;
-            m_.chunks_from_cache->Increment();
-            return Status::OK();
-          }
-        }
-        m_.chunks_scanned->Increment();
-        size_t chunk_count = 0;
-        HYGRAPH_RETURN_IF_ERROR(
-            ForEachChunkSample(chunk, interval, predicate, &work[i],
-                               [&chunk_count](const Sample&) {
-                                 ++chunk_count;
-                               }));
-        counts[i] = chunk_count;
-        return Status::OK();
-      });
-  uint64_t total_work = 0;
-  for (uint64_t w : work) total_work += w;
-  if (ctx != nullptr && total_work > 0) {
-    HYGRAPH_RETURN_IF_ERROR(ctx->Charge(total_work));
-  }
-  HYGRAPH_RETURN_IF_ERROR(run);
   size_t n = 0;
-  for (size_t c : counts) n += c;
+  std::vector<Sample> scratch;
+  for (const PinnedChunk& chunk : view->chunks) {
+    if (ZoneMapExcludes(chunk, predicate)) {
+      m_.chunks_zonemap_skipped->Increment();
+      continue;
+    }
+    // Whole-chunk match: every sample is inside the interval and the zone's
+    // value range satisfies the predicate end to end. Works for cold chunks
+    // too — the zone map is resident, so this path never pins the bytes.
+    if (chunk.has_zone && interval.Contains(chunk.first_t) &&
+        interval.Contains(chunk.last_t) && chunk.all_finite &&
+        predicate.Matches(chunk.min_v) && predicate.Matches(chunk.max_v)) {
+      n += chunk.size;
+      m_.chunks_from_cache->Increment();
+      continue;
+    }
+    m_.chunks_scanned->Increment();
+    HYGRAPH_RETURN_IF_ERROR(VisitChunk(chunk, interval, predicate, &scratch,
+                                       [&n](const Sample&) { ++n; }));
+  }
   return n;
-}
-
-Result<double> HypertableStore::AggregateWithContext(SeriesId id,
-                                                     const Interval& interval,
-                                                     AggKind kind,
-                                                     const QueryContext* ctx,
-                                                     uint64_t* work) const {
-  auto view = PinView(id, interval, options_.enable_chunk_cache);
-  if (!view.ok()) return view.status();
-  m_.chunks_total->Add(view->chunk_count);
-  const size_t chunks = view->chunks.size();
-  // One AggState partial per chunk, merged in chunk order below. The
-  // serial path runs the identical morsels in the identical order, so the
-  // parallel answer is bit-identical (floating-point reduction order is
-  // canonicalized per chunk, not per schedule).
-  std::vector<AggState> partials(chunks);
-  std::vector<uint64_t> chunk_work(chunks, 0);
-  const Status run = RunChunkMorsels(
-      chunks, ShouldParallelize(*view), ctx, [&](size_t i) -> Status {
-        const PinnedChunk& chunk = view->chunks[i];
-        // Zone-map coverage: the cached partial answers the chunk whenever
-        // the interval covers its actual data span, even if the nominal
-        // chunk span pokes out of the interval.
-        if (chunk.agg_valid && interval.Contains(chunk.first_t) &&
-            interval.Contains(chunk.last_t)) {
-          partials[i] = chunk.agg;
-          m_.chunks_from_cache->Increment();
-          return Status::OK();
-        }
-        m_.chunks_scanned->Increment();
-        AggState& partial = partials[i];
-        return ForEachChunkSample(chunk, interval, ScanPredicate{},
-                                  &chunk_work[i],
-                                  [&partial](const Sample& s) {
-                                    partial.Add(s);
-                                  });
-      });
-  for (uint64_t w : chunk_work) *work += w;
-  HYGRAPH_RETURN_IF_ERROR(run);
-  AggState total;
-  for (const AggState& partial : partials) total.Merge(partial);
-  return total.Finalize(kind);
 }
 
 Result<double> HypertableStore::Aggregate(SeriesId id,
                                           const Interval& interval,
                                           AggKind kind) const {
-  QueryContext* ctx = QueryContext::Current();
-  uint64_t work = 0;
-  auto result = AggregateWithContext(id, interval, kind, ctx, &work);
-  if (ctx != nullptr && work > 0) HYGRAPH_RETURN_IF_ERROR(ctx->Charge(work));
-  return result;
+  auto view = PinView(id, interval, options_.enable_chunk_cache);
+  if (!view.ok()) return view.status();
+  m_.chunks_total->Add(view->chunk_count);
+  // One AggState per chunk, merged in chunk order: a chunk the interval
+  // covers contributes its cached partial, a clipped one folds its samples
+  // into a chunk-local partial first. Floating-point addition is not
+  // associative, so this order is part of the answer.
+  AggState total;
+  std::vector<Sample> scratch;
+  for (const PinnedChunk& chunk : view->chunks) {
+    // Zone-map coverage: the cached partial answers the chunk whenever the
+    // interval covers its actual data span, even if the nominal chunk span
+    // pokes out of the interval.
+    if (chunk.agg_valid && interval.Contains(chunk.first_t) &&
+        interval.Contains(chunk.last_t)) {
+      total.Merge(chunk.agg);
+      m_.chunks_from_cache->Increment();
+      continue;
+    }
+    m_.chunks_scanned->Increment();
+    AggState partial;
+    HYGRAPH_RETURN_IF_ERROR(
+        VisitChunk(chunk, interval, ScanPredicate{}, &scratch,
+                   [&partial](const Sample& s) { partial.Add(s); }));
+    total.Merge(partial);
+  }
+  return total.Finalize(kind);
 }
 
 Status HypertableStore::AggregateMany(const std::vector<SeriesId>& ids,
                                       const Interval& interval, AggKind kind,
                                       std::vector<Result<double>>* out) const {
-  QueryContext* ctx = QueryContext::Current();
-  const size_t n = ids.size();
   out->clear();
-  std::vector<uint64_t> work(n, 0);
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<double> values(n, 0.0);
-  const bool parallel = options_.parallel_scan && n >= 2 &&
-                        ThreadPool::Instance()->worker_count() > 0;
-  const Status run =
-      RunChunkMorsels(n, parallel, ctx, [&](size_t i) -> Status {
-        auto result =
-            AggregateWithContext(ids[i], interval, kind, ctx, &work[i]);
-        if (result.ok()) {
-          values[i] = *result;
-        } else {
-          statuses[i] = result.status();
-        }
-        // Per-series failures (unknown id, corrupt chunk) stay in their
-        // slot; only governance violations — checked below and by the
-        // wrapper's CheckCrossThread — abort the batch.
-        return Status::OK();
-      });
-  uint64_t total_work = 0;
-  for (uint64_t w : work) total_work += w;
-  if (ctx != nullptr && total_work > 0) {
-    HYGRAPH_RETURN_IF_ERROR(ctx->Charge(total_work));
-  }
-  HYGRAPH_RETURN_IF_ERROR(run);
-  for (const Status& s : statuses) {
-    if (s.code() == StatusCode::kCancelled ||
-        s.code() == StatusCode::kDeadlineExceeded ||
-        s.code() == StatusCode::kResourceExhausted) {
-      return s;
+  out->reserve(ids.size());
+  for (SeriesId id : ids) {
+    Result<double> value = Aggregate(id, interval, kind);
+    // Per-series failures (unknown id, corrupt chunk) stay in their slot;
+    // only governance violations abort the batch.
+    const StatusCode code = value.status().code();
+    if (code == StatusCode::kCancelled ||
+        code == StatusCode::kDeadlineExceeded ||
+        code == StatusCode::kResourceExhausted) {
+      out->clear();
+      return value.status();
     }
-  }
-  out->reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (statuses[i].ok()) {
-      out->push_back(values[i]);
-    } else {
-      out->push_back(statuses[i]);
-    }
+    out->push_back(std::move(value));
   }
   return Status::OK();
 }
@@ -950,48 +770,9 @@ Result<Series> HypertableStore::WindowAggregate(SeriesId id,
   auto bucket_of = [&](Timestamp t) { return (t - anchor) / width; };
 
   m_.chunks_total->Add(view->chunk_count);
-  QueryContext* ctx = QueryContext::Current();
-  const size_t chunks = view->chunks.size();
-  // Each chunk reduces to an ordered run of (bucket, partial) pairs; the
-  // runs are then stitched in chunk order, merging seam buckets that span
-  // a chunk boundary. Serial and parallel schedules build the exact same
-  // runs, so the stitched output is bit-identical either way.
-  using BucketPartial = std::pair<int64_t, AggState>;
-  std::vector<std::vector<BucketPartial>> runs(chunks);
-  std::vector<uint64_t> work(chunks, 0);
-  const Status run_status = RunChunkMorsels(
-      chunks, ShouldParallelize(*view), ctx, [&](size_t i) -> Status {
-        const PinnedChunk& chunk = view->chunks[i];
-        if (chunk.start >= span.end) return Status::OK();
-        // Fast path: the chunk lies entirely within one bucket that also
-        // lies inside the requested interval — its cached partial stands in
-        // for all of its samples (classic continuous-aggregate reuse when
-        // width is a multiple of the chunk duration and grids align).
-        if (chunk.agg_valid && span.Contains(chunk.first_t) &&
-            span.Contains(chunk.last_t) &&
-            bucket_of(chunk.first_t) == bucket_of(chunk.last_t)) {
-          runs[i].emplace_back(bucket_of(chunk.first_t), chunk.agg);
-          m_.chunks_from_cache->Increment();
-          return Status::OK();
-        }
-        m_.chunks_scanned->Increment();
-        std::vector<BucketPartial>& chunk_run = runs[i];
-        return ForEachChunkSample(
-            chunk, span, ScanPredicate{}, &work[i], [&](const Sample& s) {
-              const int64_t bucket = bucket_of(s.t);
-              if (chunk_run.empty() || chunk_run.back().first != bucket) {
-                chunk_run.emplace_back(bucket, AggState{});
-              }
-              chunk_run.back().second.Add(s);
-            });
-      });
-  uint64_t total_work = 0;
-  for (uint64_t w : work) total_work += w;
-  if (ctx != nullptr && total_work > 0) {
-    HYGRAPH_RETURN_IF_ERROR(ctx->Charge(total_work));
-  }
-  HYGRAPH_RETURN_IF_ERROR(run_status);
-
+  // Each chunk reduces to chunk-local (bucket, partial) pairs that merge
+  // into the open window, so a window spanning a chunk boundary is
+  // Merge(partial_a, partial_b) — the same reduction order as Aggregate.
   bool have_bucket = false;
   int64_t current_bucket = 0;
   AggState state;
@@ -1001,16 +782,48 @@ Result<Series> HypertableStore::WindowAggregate(SeriesId id,
     if (!value.ok()) return value.status();
     return out.Append(anchor + current_bucket * width, *value);
   };
-  for (const std::vector<BucketPartial>& chunk_run : runs) {
-    for (const BucketPartial& partial : chunk_run) {
-      if (!have_bucket || partial.first != current_bucket) {
-        HYGRAPH_RETURN_IF_ERROR(flush());
-        current_bucket = partial.first;
-        state = AggState{};
-        have_bucket = true;
-      }
-      state.Merge(partial.second);
+  auto merge = [&](int64_t bucket, const AggState& partial) -> Status {
+    if (!have_bucket || bucket != current_bucket) {
+      HYGRAPH_RETURN_IF_ERROR(flush());
+      current_bucket = bucket;
+      state = AggState{};
+      have_bucket = true;
     }
+    state.Merge(partial);
+    return Status::OK();
+  };
+  std::vector<Sample> scratch;
+  for (const PinnedChunk& chunk : view->chunks) {
+    if (chunk.start >= span.end) break;
+    // Fast path: the chunk lies entirely within one bucket that also lies
+    // inside the requested interval — its cached partial stands in for all
+    // of its samples (classic continuous-aggregate reuse when width is a
+    // multiple of the chunk duration and grids align).
+    if (chunk.agg_valid && span.Contains(chunk.first_t) &&
+        span.Contains(chunk.last_t) &&
+        bucket_of(chunk.first_t) == bucket_of(chunk.last_t)) {
+      HYGRAPH_RETURN_IF_ERROR(merge(bucket_of(chunk.first_t), chunk.agg));
+      m_.chunks_from_cache->Increment();
+      continue;
+    }
+    m_.chunks_scanned->Increment();
+    bool open = false;
+    int64_t bucket = 0;
+    AggState partial;
+    Status merged = Status::OK();
+    HYGRAPH_RETURN_IF_ERROR(VisitChunk(
+        chunk, span, ScanPredicate{}, &scratch, [&](const Sample& s) {
+          const int64_t b = bucket_of(s.t);
+          if (open && b != bucket) {
+            if (merged.ok()) merged = merge(bucket, partial);
+            partial = AggState{};
+          }
+          open = true;
+          bucket = b;
+          partial.Add(s);
+        }));
+    HYGRAPH_RETURN_IF_ERROR(merged);
+    if (open) HYGRAPH_RETURN_IF_ERROR(merge(bucket, partial));
   }
   HYGRAPH_RETURN_IF_ERROR(flush());
   return out;
@@ -1137,8 +950,6 @@ HypertableStats HypertableStore::stats() const {
   s.bytes_raw = m_.bytes_raw->value();
   s.bytes_compressed = m_.bytes_compressed->value();
   s.chunks_zonemap_skipped = m_.chunks_zonemap_skipped->value();
-  s.morsels_dispatched = m_.morsels_dispatched->value();
-  s.morsels_stolen = m_.morsels_stolen->value();
   s.cold_chunks_spilled = m_.cold_chunks_spilled->value();
   s.cold_bytes_spilled = m_.cold_bytes_spilled->value();
   s.cold_chunks_adopted = m_.cold_chunks_adopted->value();
@@ -1159,8 +970,6 @@ void HypertableStore::ResetStats() {
   m_.bytes_raw->Reset();
   m_.bytes_compressed->Reset();
   m_.chunks_zonemap_skipped->Reset();
-  m_.morsels_dispatched->Reset();
-  m_.morsels_stolen->Reset();
   m_.cold_chunks_spilled->Reset();
   m_.cold_bytes_spilled->Reset();
   m_.cold_chunks_adopted->Reset();

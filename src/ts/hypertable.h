@@ -43,19 +43,6 @@ struct HypertableOptions {
   /// containing engine (PolyglotStore) passes its own registry so one
   /// snapshot covers the whole backend.
   obs::MetricsRegistry* metrics = nullptr;
-  /// When true (default), multi-chunk reads (ScanVisit / Aggregate /
-  /// WindowAggregate / CountMatching / Scan / Materialize) fan their
-  /// per-chunk work out over the process-wide worker pool, morsel-driven:
-  /// one pinned chunk is one morsel, the caller participates, and partial
-  /// results merge in chunk order so the answer is bit-identical to the
-  /// serial path. Setting HYGRAPH_THREADS=1 disables the pool process-wide,
-  /// which is the EXPERIMENTS.md parallelism kill switch.
-  bool parallel_scan = true;
-  /// Caps the threads (caller included) one fan-out of this store may use;
-  /// 0 means "no cap beyond the pool size". The pool is process-wide and
-  /// grow-only, so this per-store cap is what lets the scaling bench
-  /// measure 1→N-thread points deterministically on any machine.
-  size_t parallel_scan_cap = 0;
   /// Cold tier sealed chunks spill to (null = everything stays in RAM).
   /// Not owned; set post-construction via AttachColdTier (single-threaded
   /// setup, before the store is shared). Lives in the options so Fork()
@@ -83,9 +70,6 @@ struct HypertableStats {
   /// Sealed chunks skipped wholesale because their value zone map cannot
   /// intersect a pushed-down value predicate (the Q8 query shape).
   size_t chunks_zonemap_skipped = 0;
-  // Morsel-driven parallel read path (cumulative since ResetStats()).
-  size_t morsels_dispatched = 0;  ///< per-chunk / per-series morsels fanned out
-  size_t morsels_stolen = 0;      ///< morsels executed by pool workers
   // Cold tier (cumulative since ResetStats()).
   size_t cold_chunks_spilled = 0;  ///< sealed chunks written to the tier
   size_t cold_bytes_spilled = 0;   ///< encoded bytes across those spills
@@ -235,36 +219,21 @@ class HypertableStore {
   /// ScanVisit with a pushed-down value predicate: only matching samples
   /// are visited, and sealed chunks whose value zone map cannot intersect
   /// the bounds are skipped without decoding (stats().chunks_zonemap_skipped).
-  ///
-  /// With options().parallel_scan and ≥2 overlapping chunks, the per-chunk
-  /// decode + filter fans out over the worker pool (one chunk = one
-  /// morsel); the matched samples land in per-chunk buffers and `fn` is
-  /// replayed over them in chunk order on the calling thread, so callbacks
-  /// observe exactly the serial visit order and never run concurrently.
   template <typename Fn>
   Status ScanVisit(SeriesId id, const Interval& interval,
                    const ScanPredicate& predicate, Fn&& fn) const {
     auto view = PinView(id, interval, /*want_aggregates=*/false);
     if (!view.ok()) return view.status();
     m_.chunks_total->Add(view->chunk_count);
-    if (ShouldParallelize(*view)) {
-      std::vector<std::vector<Sample>> buffers;
-      HYGRAPH_RETURN_IF_ERROR(
-          ParallelScanChunks(*view, interval, predicate, &buffers));
-      for (std::vector<Sample>& buffer : buffers) {
-        for (const Sample& s : buffer) fn(s);
-      }
-      return Status::OK();
-    }
+    std::vector<Sample> scratch;
     for (const PinnedChunk& chunk : view->chunks) {
-      if (chunk.has_zone && !predicate.unbounded() &&
-          !(chunk.min_v <= predicate.max_value &&
-            chunk.max_v >= predicate.min_value)) {
+      if (ZoneMapExcludes(chunk, predicate)) {
         m_.chunks_zonemap_skipped->Increment();
         continue;
       }
       m_.chunks_scanned->Increment();
-      HYGRAPH_RETURN_IF_ERROR(VisitPinned(chunk, interval, predicate, fn));
+      HYGRAPH_RETURN_IF_ERROR(
+          VisitChunk(chunk, interval, predicate, &scratch, fn));
     }
     return Status::OK();
   }
@@ -284,18 +253,18 @@ class HypertableStore {
   Result<Series> Materialize(SeriesId id, const Interval& interval) const;
 
   /// Range aggregate using chunk pruning + the per-chunk aggregate cache.
-  /// Serial and parallel runs produce bit-identical doubles: both reduce
-  /// the same per-chunk AggState partials in chunk order (boundary chunks
-  /// fold their clipped samples into a chunk-local partial first).
+  /// The reduction order is fixed: one AggState per chunk (its cached
+  /// partial, or its clipped samples folded into a chunk-local partial)
+  /// merged in chunk order, so the double that comes back does not depend
+  /// on which chunks the cache answered.
   Result<double> Aggregate(SeriesId id, const Interval& interval,
                            AggKind kind) const;
 
   /// Batch form of Aggregate for multi-entity queries: one result slot per
   /// id, in input order (per-series failures — e.g. an unknown id — land
-  /// in their slot without failing the batch). With parallel_scan the
-  /// batch fans out one morsel per series; each slot is bit-identical to
-  /// what Aggregate(ids[i], ...) returns. Returns non-OK only for
-  /// batch-wide governance violations (deadline, cancel, budget).
+  /// in their slot without failing the batch). Each slot is what
+  /// Aggregate(ids[i], ...) returns. Returns non-OK only for batch-wide
+  /// governance violations (deadline, cancel, budget).
   Status AggregateMany(const std::vector<SeriesId>& ids,
                        const Interval& interval, AggKind kind,
                        std::vector<Result<double>>* out) const;
@@ -305,7 +274,9 @@ class HypertableStore {
   /// interval.start, stamped at the window start. Runs in a single pass
   /// over the overlapping chunks without materializing the range; when a
   /// window exactly covers one chunk, the chunk's cached partial answers
-  /// it without touching its samples.
+  /// it without touching its samples. Each chunk folds into chunk-local
+  /// bucket partials that merge into the open window, so a window spanning
+  /// a chunk boundary is Merge(partial_a, partial_b), like Aggregate.
   Result<Series> WindowAggregate(SeriesId id, const Interval& interval,
                                  Duration width, AggKind kind) const;
 
@@ -586,67 +557,35 @@ class HypertableStore {
   /// Seals every chunk except the newest (when compression is on).
   void SealColdChunks(ChunkList& chunks) const;
 
-  /// Per-thread reusable decode buffers for the sealed read path: Acquire
-  /// pops (or creates) a cleared vector, Release returns it. A stack
-  /// rather than a single slot because a visit callback may re-enter the
-  /// store on the same thread (nested reads must not clobber the buffer
-  /// the outer scan is iterating).
-  static std::vector<Sample> AcquireScratch();
-  static void ReleaseScratch(std::vector<Sample> scratch);
+  /// True when `chunk`'s value zone map proves no sample can match
+  /// `predicate` (hot chunks carry no zone map and never qualify).
+  static bool ZoneMapExcludes(const PinnedChunk& chunk,
+                              const ScanPredicate& predicate) {
+    return chunk.has_zone && !predicate.unbounded() &&
+           !(chunk.min_v <= predicate.max_value &&
+             chunk.max_v >= predicate.min_value);
+  }
 
-  /// True when a multi-chunk read should fan out over the worker pool:
-  /// parallel_scan is on, at least two chunks overlap, and the process
-  /// pool has at least one worker (HYGRAPH_THREADS=1 disables it).
-  bool ShouldParallelize(const SeriesReadView& view) const;
-
-  /// The morsel-driven sealed/hot chunk scan: one morsel per pinned chunk,
-  /// decoded + clipped + predicate-filtered into buffers[i] (chunk order
-  /// preserved; zone-map-skipped chunks leave their buffer empty). Workers
-  /// observe deadline/cancel via CheckCrossThread per morsel; the decoded
-  /// sample total is charged on the calling thread at the join barrier.
-  Status ParallelScanChunks(const SeriesReadView& view,
-                            const Interval& interval,
-                            const ScanPredicate& predicate,
-                            std::vector<std::vector<Sample>>* buffers) const;
-
-  /// Runs `morsel(0..n-1)`, fanned over the worker pool when `parallel`
-  /// (first error wins) or in index order inline otherwise. Either way
-  /// every morsel is preceded by a CheckCrossThread deadline/cancel probe
-  /// against `ctx` (when set), which is the thread-safe subset of the
-  /// context — charging stays with the caller.
-  Status RunChunkMorsels(size_t n, bool parallel, const QueryContext* ctx,
-                         const std::function<Status(size_t)>& morsel) const;
-
-  /// Aggregate's engine, reusable from worker threads: pins the view, runs
-  /// one morsel per chunk (cached partial or clipped scan into a
-  /// chunk-local AggState), merges the partials in chunk order, and
-  /// finalizes. Never touches QueryContext::Current() — deadline/cancel
-  /// probes go through `ctx`, and work units accumulate into `*work` for
-  /// the caller to charge.
-  Result<double> AggregateWithContext(SeriesId id, const Interval& interval,
-                                      AggKind kind, const QueryContext* ctx,
-                                      uint64_t* work) const;
-
-  /// The shared per-chunk visit primitive every read path (serial or
-  /// morsel) rides on: decodes a sealed chunk through the wide columnar
-  /// decoder (DecodeChunkWide) into a reused per-thread scratch buffer —
-  /// or takes the hot samples as-is — clips to `interval` by binary
-  /// search, and evaluates `predicate` over the decoded column in one
-  /// branch-light loop, calling `fn` per match. Thread-safe (instruments
-  /// are relaxed atomics; the scratch is per-thread) and charge-free:
-  /// decoded-sample units accumulate into `*work` for the caller to settle
-  /// against its QueryContext — on the owning thread for serial scans, at
-  /// the join barrier for parallel ones.
+  /// The one per-chunk read primitive every read path rides on: decodes a
+  /// sealed chunk through the wide columnar decoder (DecodeChunkWide) into
+  /// the caller's `scratch` buffer — or takes the hot samples as they are —
+  /// clips to `interval` by binary search, and calls `fn` for each sample
+  /// matching `predicate`. The chunk's work (samples decoded, or hot
+  /// samples visited) is then charged to the calling thread's
+  /// QueryContext, so a read cut by a deadline, Cancel() or the points
+  /// budget unwinds at chunk granularity. `scratch` belongs to one read
+  /// call, so a callback may re-enter the store.
   template <typename Fn>
-  Status ForEachChunkSample(const PinnedChunk& chunk, const Interval& interval,
-                            const ScanPredicate& predicate, uint64_t* work,
-                            Fn&& fn) const {
+  Status VisitChunk(const PinnedChunk& chunk, const Interval& interval,
+                    const ScanPredicate& predicate,
+                    std::vector<Sample>* scratch, Fn&& fn) const {
+    const Sample* begin = chunk.hot.data();
+    const Sample* end = begin + chunk.hot.size();
     if (chunk.sealed()) {
       // Cold chunks pin their bytes here — at decode time, not at PinView
       // time — so chunks answered from zone maps or cached aggregates
-      // never touch the tier. Each morsel worker pins independently; the
-      // tier's cache makes that concurrency-safe and eviction only drops
-      // the cache's own reference (the shared_ptr below stays valid).
+      // never touch the tier. Eviction only drops the cache's own
+      // reference; the shared_ptr below keeps the bytes alive.
       std::shared_ptr<const std::string> cold_bytes;
       const std::string* encoded = nullptr;
       if (chunk.sealed_ref != nullptr) {
@@ -663,53 +602,28 @@ class HypertableStore {
         encoded = cold_bytes.get();
       }
       m_.chunks_decoded->Increment();
-      std::vector<Sample> scratch = AcquireScratch();
-      Status decode = DecodeChunkWide(*encoded, &scratch);
+      Status decode = DecodeChunkWide(*encoded, scratch);
       if (!decode.ok()) {
         return Status::Internal("sealed chunk failed to decode: " +
                                 decode.message());
       }
-      auto lo = std::lower_bound(
-          scratch.begin(), scratch.end(), interval.start,
-          [](const Sample& s, Timestamp t) { return s.t < t; });
-      auto hi = std::lower_bound(
-          lo, scratch.end(), interval.end,
-          [](const Sample& s, Timestamp t) { return s.t < t; });
-      m_.samples_scanned->Add(static_cast<size_t>(hi - lo));
-      *work += scratch.size();
-      for (auto s = lo; s != hi; ++s) {
-        if (predicate.Matches(s->value)) fn(*s);
-      }
-      ReleaseScratch(std::move(scratch));
-      return Status::OK();
+      begin = scratch->data();
+      end = begin + scratch->size();
     }
     // Hot samples were already clipped to the pin interval; `interval` is
     // the same or narrower (WindowAggregate passes the clamped span).
-    auto lo = std::lower_bound(
-        chunk.hot.begin(), chunk.hot.end(), interval.start,
+    const Sample* lo = std::lower_bound(
+        begin, end, interval.start,
         [](const Sample& s, Timestamp t) { return s.t < t; });
-    auto hi = std::lower_bound(
-        lo, chunk.hot.end(), interval.end,
+    const Sample* hi = std::lower_bound(
+        lo, end, interval.end,
         [](const Sample& s, Timestamp t) { return s.t < t; });
     m_.samples_scanned->Add(static_cast<size_t>(hi - lo));
-    *work += static_cast<uint64_t>(hi - lo);
-    for (auto sample = lo; sample != hi; ++sample) {
-      if (predicate.Matches(sample->value)) fn(*sample);
+    for (const Sample* s = lo; s != hi; ++s) {
+      if (predicate.Matches(s->value)) fn(*s);
     }
-    return Status::OK();
-  }
-
-  /// ForEachChunkSample plus governance settlement for single-threaded
-  /// callers: the chunk's work is charged to the calling thread's
-  /// QueryContext after the visit, so a scan cut by a deadline, Cancel(),
-  /// or the points budget unwinds with the context's status at chunk
-  /// granularity instead of running to completion.
-  template <typename Fn>
-  Status VisitPinned(const PinnedChunk& chunk, const Interval& interval,
-                     const ScanPredicate& predicate, Fn&& fn) const {
-    uint64_t work = 0;
-    HYGRAPH_RETURN_IF_ERROR(ForEachChunkSample(chunk, interval, predicate,
-                                               &work, std::forward<Fn>(fn)));
+    const uint64_t work = chunk.sealed() ? static_cast<uint64_t>(end - begin)
+                                         : static_cast<uint64_t>(hi - lo);
     QueryContext* ctx = QueryContext::Current();
     if (ctx != nullptr && work > 0) return ctx->Charge(work);
     return Status::OK();
@@ -735,11 +649,6 @@ class HypertableStore {
     obs::Counter* snapshot_pins = nullptr;      ///< Fork() calls
     obs::Counter* unseal_conflicts = nullptr;   ///< unseals while readers pinned
     obs::Counter* series_cow_copies = nullptr;  ///< chunk-list copies
-    // Morsel-driven parallel read path.
-    obs::Counter* morsels_dispatched = nullptr;  ///< morsels fanned out
-    obs::Counter* morsels_stolen = nullptr;      ///< morsels run by pool workers
-    obs::Counter* pool_busy_nanos = nullptr;     ///< worker time on this store
-    obs::Counter* pool_threads = nullptr;        ///< pool size, set once
     // Cold tier.
     obs::Counter* cold_chunks_spilled = nullptr;  ///< chunks written to tier
     obs::Counter* cold_bytes_spilled = nullptr;   ///< encoded bytes spilled

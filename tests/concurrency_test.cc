@@ -19,7 +19,6 @@
 
 #include <atomic>
 #include <barrier>
-#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -30,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/time.h"
 #include "query/executor.h"
 #include "storage/all_in_graph.h"
@@ -580,128 +578,6 @@ TEST(ConcurrencyTest, SealedScanTakesOneSharedAcquisition) {
   // All chunks but the hot newest one were pinned sealed.
   EXPECT_GT(store.metrics()->counter("concurrency.chunk_pins")->value(),
             pins_before);
-}
-
-// ---------------------------------------------------------------------------
-// Morsel-driven parallel reads are bit-identical to the serial schedule —
-// on every read path (Scan, Aggregate, WindowAggregate, CountMatching),
-// under seal/unseal churn from concurrent writers. Two stores ingest the
-// same deterministic stream; the only difference is parallel_scan, so any
-// divergence (including floating-point merge-order drift) is a bug in the
-// parallel path. The worker pool is forced to 4 workers so the parallel
-// branch really fans out even on a single-core machine.
-// ---------------------------------------------------------------------------
-
-TEST(ConcurrencyTest, ParallelReadsBitIdenticalToSerialUnderChurn) {
-  ThreadPool::Instance()->SetWorkerCount(4);
-
-  HypertableOptions serial_options;
-  serial_options.chunk_duration = 100;
-  serial_options.parallel_scan = false;
-  HypertableStore serial_store(serial_options);
-
-  HypertableOptions parallel_options;
-  parallel_options.chunk_duration = 100;
-  ASSERT_TRUE(parallel_options.parallel_scan);  // the shipping default
-  HypertableStore parallel_store(parallel_options);
-
-  const SeriesId sid = serial_store.Create("churn");
-  const SeriesId pid = parallel_store.Create("churn");
-
-  constexpr int kRounds = 48;
-  constexpr int kPerRound = 24;
-  constexpr Timestamp kStep = 10;
-  constexpr ts::AggKind kKinds[] = {
-      ts::AggKind::kAvg,   ts::AggKind::kSum,    ts::AggKind::kMin,
-      ts::AggKind::kMax,   ts::AggKind::kCount,  ts::AggKind::kStdDev,
-      ts::AggKind::kFirst, ts::AggKind::kLast,
-  };
-
-  std::barrier sync(3);  // two writers + the comparing main thread
-
-  auto spawn_writer = [&](HypertableStore* store, SeriesId id) {
-    return std::thread([&sync, store, id] {
-      for (int round = 0; round < kRounds; ++round) {
-        sync.arrive_and_wait();
-        const Timestamp base =
-            static_cast<Timestamp>(round) * kPerRound * kStep;
-        // Evens then odds: the odd pass lands behind the newest chunk,
-        // forcing unseal/merge/reseal while parallel readers race.
-        for (int pass = 0; pass < 2; ++pass) {
-          for (int i = pass; i < kPerRound; i += 2) {
-            const Timestamp t = base + static_cast<Timestamp>(i) * kStep;
-            ASSERT_TRUE(store->Insert(id, t, ExpectedValue(t)).ok());
-          }
-        }
-        sync.arrive_and_wait();
-      }
-    });
-  };
-  std::thread serial_writer = spawn_writer(&serial_store, sid);
-  std::thread parallel_writer = spawn_writer(&parallel_store, pid);
-
-  for (int round = 0; round < kRounds; ++round) {
-    sync.arrive_and_wait();
-    // Racing section: parallel scans against the in-flight writer hold the
-    // schedule-independent invariants (sorted, untorn).
-    auto racing = parallel_store.Scan(pid, Interval{});
-    ASSERT_TRUE(racing.ok()) << racing.status().ToString();
-    CheckSamples(*racing);
-    sync.arrive_and_wait();
-
-    // Quiescent section: both stores hold identical data, so every read
-    // path must agree bit for bit between the serial and parallel plans.
-    auto serial_scan = serial_store.Scan(sid, Interval{});
-    auto parallel_scan = parallel_store.Scan(pid, Interval{});
-    ASSERT_TRUE(serial_scan.ok());
-    ASSERT_TRUE(parallel_scan.ok());
-    ASSERT_EQ(parallel_scan->size(), serial_scan->size());
-    for (size_t i = 0; i < serial_scan->size(); ++i) {
-      ASSERT_EQ((*parallel_scan)[i].t, (*serial_scan)[i].t);
-      ASSERT_EQ(std::bit_cast<uint64_t>((*parallel_scan)[i].value),
-                std::bit_cast<uint64_t>((*serial_scan)[i].value));
-    }
-
-    const Interval window{
-        0, static_cast<Timestamp>(round + 1) * kPerRound * kStep};
-    for (ts::AggKind kind : kKinds) {
-      auto serial_agg = serial_store.Aggregate(sid, window, kind);
-      auto parallel_agg = parallel_store.Aggregate(pid, window, kind);
-      ASSERT_EQ(serial_agg.ok(), parallel_agg.ok());
-      if (serial_agg.ok()) {
-        ASSERT_EQ(std::bit_cast<uint64_t>(*parallel_agg),
-                  std::bit_cast<uint64_t>(*serial_agg))
-            << "agg kind " << static_cast<int>(kind) << " round " << round;
-      }
-    }
-
-    auto serial_win =
-        serial_store.WindowAggregate(sid, window, 250, ts::AggKind::kAvg);
-    auto parallel_win =
-        parallel_store.WindowAggregate(pid, window, 250, ts::AggKind::kAvg);
-    ASSERT_TRUE(serial_win.ok());
-    ASSERT_TRUE(parallel_win.ok());
-    ASSERT_EQ(parallel_win->size(), serial_win->size());
-    for (size_t i = 0; i < serial_win->size(); ++i) {
-      ASSERT_EQ(parallel_win->samples()[i].t, serial_win->samples()[i].t);
-      ASSERT_EQ(std::bit_cast<uint64_t>(parallel_win->samples()[i].value),
-                std::bit_cast<uint64_t>(serial_win->samples()[i].value));
-    }
-
-    auto serial_count = serial_store.CountMatching(
-        sid, window, ts::ScanPredicate{-50.0, 150.0});
-    auto parallel_count = parallel_store.CountMatching(
-        pid, window, ts::ScanPredicate{-50.0, 150.0});
-    ASSERT_TRUE(serial_count.ok());
-    ASSERT_TRUE(parallel_count.ok());
-    ASSERT_EQ(*parallel_count, *serial_count);
-  }
-  serial_writer.join();
-  parallel_writer.join();
-
-  // The parallel store really fanned out; the serial store never did.
-  EXPECT_GT(parallel_store.stats().morsels_dispatched, 0u);
-  EXPECT_EQ(serial_store.stats().morsels_dispatched, 0u);
 }
 
 }  // namespace

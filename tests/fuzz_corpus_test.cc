@@ -42,9 +42,13 @@ void ReplayCorpus(const std::string& name, Harness harness) {
     SCOPED_TRACE(path.string());
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good());
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    harness(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    // An exactly sized copy, as libFuzzer passes: the string's terminator
+    // and spare capacity would hide a one-byte over-read from
+    // AddressSanitizer.
+    const std::vector<uint8_t> bytes(file.begin(), file.end());
+    harness(bytes.data(), bytes.size());
   }
 }
 

@@ -1,7 +1,10 @@
 #include "ts/hypertable.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -296,6 +299,139 @@ TEST_P(ChunkSizeSweep, AnswersIndependentOfChunking) {
 INSTANTIATE_TEST_SUITE_P(Chunks, ChunkSizeSweep,
                          ::testing::Values(kMinute, kHour, 6 * kHour, kDay,
                                            30 * kDay));
+
+// ---- reduction order --------------------------------------------------------
+// Reads reduce one AggState per chunk and merge those partials in chunk
+// order. The tests below rebuild that reduction from Materialize and
+// require the store's doubles bit for bit. The values are non-integral and
+// random, so sums depend on the order of the additions: a read that folds
+// a range through one running AggState, or merges chunks in another order,
+// fails here.
+
+constexpr AggKind kAllKinds[] = {
+    AggKind::kCount, AggKind::kSum,    AggKind::kAvg,   AggKind::kMin,
+    AggKind::kMax,   AggKind::kStdDev, AggKind::kFirst, AggKind::kLast,
+};
+
+// Ten sealed hour chunks and a hot newest one, a sample every 37 s.
+HypertableStore MakeRandomSealedStore(SeriesId* id) {
+  HypertableOptions options;
+  options.chunk_duration = kHour;
+  HypertableStore store(options);
+  *id = store.Create("s");
+  Rng rng(0x5eed);
+  for (Timestamp t = 0; t < 11 * kHour; t += 37 * kSecond) {
+    EXPECT_TRUE(
+        store.Insert(*id, t, rng.NextDoubleInRange(-1000.0, 1000.0)).ok());
+  }
+  return store;
+}
+
+// The reference reduction: the samples of each (hour chunk, window) run
+// fold into one partial, in time order, and each window merges its
+// partials in chunk order. Returns (window index, merged state) pairs.
+std::vector<std::pair<int64_t, AggState>> ReducePerChunk(
+    const Series& series, Timestamp anchor, Duration width) {
+  std::vector<std::pair<int64_t, AggState>> windows;
+  AggState partial;
+  bool open = false;
+  int64_t chunk = 0;
+  int64_t window = 0;
+  auto close = [&] {
+    if (!open) return;
+    if (windows.empty() || windows.back().first != window) {
+      windows.emplace_back(window, AggState{});
+    }
+    windows.back().second.Merge(partial);
+    partial = AggState{};
+  };
+  for (const Sample& s : series.samples()) {
+    const int64_t c = s.t / kHour;
+    const int64_t w = (s.t - anchor) / width;
+    if (open && (c != chunk || w != window)) close();
+    open = true;
+    chunk = c;
+    window = w;
+    partial.Add(s);
+  }
+  close();
+  return windows;
+}
+
+// One running fold of `samples` in [from, to): the order a read must NOT
+// use across a chunk boundary.
+AggState RunningFold(const Series& series, Timestamp from, Timestamp to) {
+  AggState state;
+  for (const Sample& s : series.samples()) {
+    if (s.t >= from && s.t < to) state.Add(s);
+  }
+  return state;
+}
+
+TEST(HypertableReductionOrderTest, AggregateMergesChunkPartialsInOrder) {
+  SeriesId id;
+  HypertableStore store = MakeRandomSealedStore(&id);
+  // Clips chunks 1 and 8; chunks 2..7 answer from their cached partials.
+  const Interval range{kHour + 20 * kMinute, 8 * kHour + 40 * kMinute};
+  auto series = store.Materialize(id, range);
+  ASSERT_TRUE(series.ok());
+  const auto reference = ReducePerChunk(*series, range.start, 1000 * kDay);
+  ASSERT_EQ(reference.size(), 1u);
+  const AggState& want = reference[0].second;
+  // The data makes the order observable: one running fold sums differently.
+  EXPECT_NE(std::bit_cast<uint64_t>(want.sum),
+            std::bit_cast<uint64_t>(
+                RunningFold(*series, range.start, range.end).sum));
+  for (AggKind kind : kAllKinds) {
+    SCOPED_TRACE(AggKindName(kind));
+    store.ResetStats();
+    auto got = store.Aggregate(id, range, kind);
+    auto expected = want.Finalize(kind);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(std::bit_cast<uint64_t>(*got), std::bit_cast<uint64_t>(*expected))
+        << *got << " vs " << *expected;
+    EXPECT_EQ(store.stats().chunks_from_cache, 6u);
+    EXPECT_EQ(store.stats().chunks_scanned, 2u);
+  }
+}
+
+TEST(HypertableReductionOrderTest, WindowMergesPartialsAcrossChunkSeams) {
+  SeriesId id;
+  HypertableStore store = MakeRandomSealedStore(&id);
+  // 50-minute windows anchored at 1h20m: [1h20m, 2h10m) spans the boundary
+  // between chunks 1 and 2, and so do most windows after it.
+  const Interval range{kHour + 20 * kMinute, 8 * kHour + 40 * kMinute};
+  const Duration width = 50 * kMinute;
+  auto series = store.Materialize(id, range);
+  ASSERT_TRUE(series.ok());
+  const auto reference = ReducePerChunk(*series, range.start, width);
+  size_t order_sensitive = 0;
+  for (const auto& [window, state] : reference) {
+    const Timestamp from = range.start + window * width;
+    const AggState running = RunningFold(*series, from, from + width);
+    if (std::bit_cast<uint64_t>(running.sum) !=
+        std::bit_cast<uint64_t>(state.sum)) {
+      ++order_sensitive;
+    }
+  }
+  EXPECT_GT(order_sensitive, 0u);
+  for (AggKind kind : kAllKinds) {
+    SCOPED_TRACE(AggKindName(kind));
+    auto got = store.WindowAggregate(id, range, width, kind);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      auto expected = reference[i].second.Finalize(kind);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(got->at(i).t, range.start + reference[i].first * width);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->at(i).value),
+                std::bit_cast<uint64_t>(*expected))
+          << "window " << i << ": " << got->at(i).value << " vs "
+          << *expected;
+    }
+  }
+}
 
 TEST(HypertableCompressionTest, ColdChunksAreSealed) {
   SeriesId id;

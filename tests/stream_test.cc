@@ -100,6 +100,53 @@ TEST(StreamTest, RetentionEvictsStaleSamples) {
   EXPECT_TRUE(hg.Validate().ok());
 }
 
+// Event times within `retention` of kMinTimestamp: the eviction cutoff
+// would lie before the earliest representable time, so it saturates there
+// and nothing is evicted.
+TEST(StreamTest, RetentionNearMinTimestampEvictsNothing) {
+  HyGraph hg;
+  StreamOptions options;
+  options.retention = 10 * kMinute;
+  options.eviction_period = kMinute;
+  StreamProcessor stream(&hg, options);
+  const Timestamp origin = kMinTimestamp + kSecond;
+  ASSERT_TRUE(stream.Apply(UpdateEvent::AddTsVertex(origin, "s", {"Sensor"},
+                                                    {"v"}))
+                  .ok());
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(stream
+                    .Apply(UpdateEvent::Sample(origin + i * kMinute, "s",
+                                               {static_cast<double>(i)}))
+                    .ok());
+  }
+  const auto sensor = *stream.ResolveVertex("s");
+  EXPECT_EQ((*hg.VertexSeries(sensor))->size(), 5u);
+  EXPECT_EQ(stream.stats().samples_evicted, 0u);
+  EXPECT_TRUE(hg.Validate().ok());
+}
+
+// The watermark jumps from near kMinTimestamp to near kMaxTimestamp: the
+// time since the last eviction exceeds INT64_MAX, and eviction still runs.
+TEST(StreamTest, RetentionAfterAWatermarkJumpAcrossTheTimeline) {
+  HyGraph hg;
+  StreamOptions options;
+  options.retention = 10 * kMinute;
+  options.eviction_period = kMinute;
+  StreamProcessor stream(&hg, options);
+  const Timestamp origin = kMinTimestamp + kDay;
+  ASSERT_TRUE(stream.Apply(UpdateEvent::AddTsVertex(origin, "s", {"Sensor"},
+                                                    {"v"}))
+                  .ok());
+  ASSERT_TRUE(
+      stream.Apply(UpdateEvent::Sample(origin + kMinute, "s", {1.0})).ok());
+  ASSERT_TRUE(
+      stream.Apply(UpdateEvent::Sample(kMaxTimestamp - kSecond, "s", {2.0}))
+          .ok());
+  const auto sensor = *stream.ResolveVertex("s");
+  EXPECT_EQ((*hg.VertexSeries(sensor))->size(), 1u);
+  EXPECT_EQ(stream.stats().samples_evicted, 1u);
+}
+
 TEST(StreamTest, NoRetentionKeepsEverything) {
   HyGraph hg;
   StreamProcessor stream(&hg);
