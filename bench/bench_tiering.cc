@@ -1,7 +1,9 @@
 // Cold-tier benchmarks (DESIGN.md §15):
 //   * full-series scan latency over spilled chunks as a function of the
 //     chunk-cache budget (all-resident, partial, thrash), cold vs warm
-//   * checkpoint spill throughput (sealed samples moved to segment files)
+//   * checkpoint spill throughput (sealed samples moved to segment files),
+//     with the segment files created and fsyncs run per checkpoint, for
+//     one series and for many
 //   * recovery (Open) time as a function of the cold fraction — the
 //     tentpole claim is that recovery cost tracks HOT data, not history
 //
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/metrics.h"
 #include "storage/durable.h"
 #include "storage/env.h"
 #include "storage/polyglot.h"
@@ -29,6 +32,7 @@ using storage::Env;
 
 // --smoke shrinks the workload so CI just proves the paths run.
 int kSamples = 40000;
+int kSpillSeries = 300;
 
 struct JsonResult {
   std::string name;
@@ -134,25 +138,44 @@ void BenchScanVsCacheBudget() {
   std::system(("rm -rf " + dir).c_str());
 }
 
-void BenchSpillThroughput() {
-  PrintHeader("Checkpoint spill throughput");
+/// One checkpoint spilling `series` series of `per_series` samples each:
+/// its throughput, and the segment files and fsyncs it cost.
+void SpillCase(const std::string& suffix, int series, int per_series) {
   const std::string dir = FreshDir();
   auto store = OpenStore(dir + "/store", 64u << 20);
-  auto v = store->AddVertex({"Sensor"}, {});
-  if (!v.ok()) std::exit(1);
-  for (int i = 0; i < kSamples; ++i) {
-    (void)store->AppendVertexSample(*v, "temp", i, 0.25 * i);
+  for (int s = 0; s < series; ++s) {
+    auto v = store->AddVertex({"Sensor"}, {});
+    if (!v.ok()) std::exit(1);
+    for (int i = 0; i < per_series; ++i) {
+      (void)store->AppendVertexSample(*v, "temp", i, 0.25 * i);
+    }
   }
   const size_t sealed =
       store->inner()->series_hypertable()->MemoryUsage().sealed_samples;
+  obs::MetricsRegistry* metrics = store->metrics();
   const double ms = TimeMs([&] {
     if (!store->Checkpoint().ok()) std::exit(1);
   });
-  Record("checkpoint_spill_sealed_samples", double(sealed), "samples");
-  Record("checkpoint_spill_throughput", sealed / (ms / 1000.0), "samples/s");
+  Record("checkpoint_spill_sealed_samples" + suffix, double(sealed),
+         "samples");
+  Record("checkpoint_spill_throughput" + suffix, sealed / (ms / 1000.0),
+         "samples/s");
   const auto hs = store->inner()->series_hypertable()->stats();
-  Record("checkpoint_cold_bytes", double(hs.cold_bytes_spilled), "bytes");
+  Record("checkpoint_cold_bytes" + suffix, double(hs.cold_bytes_spilled),
+         "bytes");
+  Record("checkpoint_segment_files" + suffix,
+         double(metrics->counter("coldtier.segment_files")->value()), "files");
+  Record("checkpoint_segment_fsyncs" + suffix,
+         double(metrics->counter("coldtier.segment_syncs")->value()),
+         "fsyncs");
   std::system(("rm -rf " + dir).c_str());
+}
+
+void BenchSpillThroughput() {
+  PrintHeader("Checkpoint spill throughput");
+  SpillCase("", 1, kSamples);
+  // Four chunks per series: the checkpoint spills three from each.
+  SpillCase("_many_series", kSpillSeries, 4 * 256);
 }
 
 void BenchRecoveryVsColdFraction() {
@@ -198,7 +221,10 @@ void WriteJson() {
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") hygraph::bench::kSamples = 4000;
+    if (std::string(argv[i]) == "--smoke") {
+      hygraph::bench::kSamples = 4000;
+      hygraph::bench::kSpillSeries = 20;
+    }
   }
   hygraph::bench::BenchScanVsCacheBudget();
   hygraph::bench::BenchSpillThroughput();

@@ -38,9 +38,10 @@ void FuzzChunkCodec(const uint8_t* data, size_t size);
 /// protocol, plus a decode/encode fixed-point check on accepted frames.
 void FuzzWireFrame(const uint8_t* data, size_t size);
 
-/// storage::ParseColdCatalog over untrusted catalog bytes, then
-/// SegmentStore::LoadCatalog + Pin + FuzzChunkCodec with the same bytes
-/// planted as segment files — the full cold-chunk adoption frontier.
+/// storage::ParseColdCatalog over untrusted binary catalog bytes, then
+/// SegmentStore::LoadCatalog + Pin (through the Env's random-access
+/// handle) + FuzzChunkCodec with the same bytes planted as segment files —
+/// the full cold-chunk adoption frontier.
 void FuzzSegmentLoad(const uint8_t* data, size_t size);
 
 }  // namespace hygraph::fuzz

@@ -31,6 +31,14 @@ class MemEnv : public storage::Env {
     return Status::OK();
   }
 
+  Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<storage::RandomAccessFile>* file) override {
+    if (files_.count(path) == 0) return Status::NotFound(path);
+    *file = std::make_unique<MemRandomAccessFile>(&files_, path);
+    return Status::OK();
+  }
+
   bool FileExists(const std::string& path) override {
     return files_.count(path) > 0;
   }
@@ -101,6 +109,30 @@ class MemEnv : public storage::Env {
 
    private:
     std::string* target_;
+  };
+
+  /// Reads the live buffer by path on every call, so it sees bytes
+  /// appended after it was opened (and a removed file reads as NotFound).
+  class MemRandomAccessFile : public storage::RandomAccessFile {
+   public:
+    MemRandomAccessFile(const std::map<std::string, std::string>* files,
+                        std::string path)
+        : files_(files), path_(std::move(path)) {}
+
+    Status Read(uint64_t offset, size_t n, std::string* out) const override {
+      auto it = files_->find(path_);
+      if (it == files_->end()) return Status::NotFound(path_);
+      const std::string& bytes = it->second;
+      if (offset > bytes.size() || bytes.size() - offset < n) {
+        return Status::OutOfRange("short read " + path_);
+      }
+      out->assign(bytes, offset, n);
+      return Status::OK();
+    }
+
+   private:
+    const std::map<std::string, std::string>* files_;
+    std::string path_;
   };
 
   std::map<std::string, std::string> files_;

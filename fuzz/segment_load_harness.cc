@@ -11,25 +11,26 @@ namespace hygraph::fuzz {
 /// recovering process crosses when it adopts spilled chunks from disk.
 ///
 /// Three layers, each total over hostile input:
-///   1. ParseColdCatalog — accept or kCorruption, never a crash or an
-///      unbounded allocation, and accepted catalogs reach an
-///      encode/parse fixed point bit-exactly (doubles travel as u64 hex).
+///   1. ParseColdCatalog (the binary catalog codec) — accept or
+///      kCorruption, never a crash or an unbounded allocation, and
+///      accepted catalogs reach an encode/parse fixed point bit-exactly
+///      (doubles travel as their 64-bit patterns).
 ///   2. SegmentStore::LoadCatalog — the same bytes behind a MemEnv file;
 ///      registration must mirror the standalone parse verdict.
 ///   3. Pin + decode over segment files that hold the SAME hostile
-///      bytes — a catalog entry pointing into garbage must surface as a
-///      clean error (CRC/short-read) or decode totally, never crash. A
-///      pinned payload goes through FuzzChunkCodec: the wide decoder every
-///      read runs and the scalar one must reach the same verdict and
-///      samples.
+///      bytes, read through the Env's random-access handle — a catalog
+///      entry pointing into garbage must surface as a clean error
+///      (CRC/short-read) or decode totally, never crash. A pinned payload
+///      goes through FuzzChunkCodec: the wide decoder every read runs and
+///      the scalar one must reach the same verdict and samples.
 void FuzzSegmentLoad(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
 
   // Layer 1: the standalone catalog codec.
   auto parsed = storage::ParseColdCatalog(bytes);
   if (parsed.ok()) {
-    // One catalog line per entry at minimum — a hostile header can never
-    // fabricate more entries than the input could have spelled out.
+    // Every entry costs input bytes — a hostile count can never fabricate
+    // more entries than the input could have spelled out.
     HYGRAPH_FUZZ_CHECK(parsed->size() <= size);
     const std::string encoded = storage::EncodeColdCatalog(*parsed);
     auto reparsed = storage::ParseColdCatalog(encoded);

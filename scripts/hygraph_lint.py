@@ -36,6 +36,12 @@ them. The current rules (see DESIGN.md §12 "Static analysis"):
                   work runs on the session thread that received it. A new
                   thread needs NOLINT(hygraph-raw-thread) naming who joins
                   it.
+  raw-file-io     no std::fopen, ::open, ::pread, std::ifstream or
+                  std::ofstream in src/ outside storage/env.cc — file bytes
+                  go through storage::Env, the layer FaultInjectionEnv can
+                  fail and roll back, so the crash matrices see every byte.
+                  Code below the storage layer annotates a genuine exception
+                  with NOLINT(hygraph-raw-file-io).
   layering        project includes in src/ must follow the declared layer
                   DAG (mirrors the target_link_libraries topology in
                   src/CMakeLists.txt, with common/sync.h split into its own
@@ -90,10 +96,13 @@ RETRY_HOME = Path("src/storage/retry.cc")
 # The one sanctioned home of socket/poll syscalls: the server's RAII
 # net::Socket / net::Listener wrappers.
 NET_FILES = (Path("src/server/net.h"), Path("src/server/net.cc"))
+# The one sanctioned home of raw file I/O: the POSIX Env.
+ENV_HOME = Path("src/storage/env.cc")
 
 RAW_SLEEP_ALLOW = "NOLINT(hygraph-raw-sleep)"
 RAW_THREAD_ALLOW = "NOLINT(hygraph-raw-thread)"
 RAW_SOCKET_ALLOW = "NOLINT(hygraph-raw-socket)"
+RAW_FILE_IO_ALLOW = "NOLINT(hygraph-raw-file-io)"
 NAKED_NEW_ALLOW = "NOLINT(hygraph-naked-new)"
 UNRANKED_ALLOW = "NOLINT(hygraph-unranked-lock)"
 
@@ -363,6 +372,28 @@ def check_raw_socket(tree: Tree, report) -> None:
                        "net::Socket/net::Listener (src/server/net.h); "
                        "annotate a genuine exception with "
                        f"{RAW_SOCKET_ALLOW}")
+
+
+FILE_IO_RE = re.compile(
+    r"\bstd\s*::\s*([io]?fstream)\b|\b(fopen)\s*\("
+    r"|(?:^|[^\w.>])::\s*(open|pread|pwrite)\s*\(")
+
+
+@rule("raw-file-io", "src/ outside storage/env.cc")
+def check_raw_file_io(tree: Tree, report) -> None:
+    for f in tree.files:
+        if f.rel.parts[0] != "src" or f.rel == ENV_HOME:
+            continue
+        for lineno, (raw_line, code_line) in enumerate(zip(f.raw, f.code), 1):
+            if RAW_FILE_IO_ALLOW in raw_line:
+                continue
+            m = FILE_IO_RE.search(code_line)
+            if m is not None:
+                report(f.rel, lineno, "raw-file-io",
+                       f"raw file I/O {next(g for g in m.groups() if g)} belongs "
+                       "behind storage::Env (storage/env.h), where faults "
+                       "can be injected; annotate a genuine exception with "
+                       f"{RAW_FILE_IO_ALLOW}")
 
 
 @rule("naked-new", "library code (src/, fuzz/)")

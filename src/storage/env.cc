@@ -1,30 +1,21 @@
 #include "storage/env.h"
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 namespace hygraph::storage {
 
 WritableFile::~WritableFile() = default;
+RandomAccessFile::~RandomAccessFile() = default;
 Env::~Env() = default;
-
-Status Env::ReadFileRange(const std::string& path, uint64_t offset,
-                          uint64_t length, std::string* out) {
-  std::string whole;
-  Status s = ReadFileToString(path, &whole);
-  if (!s.ok()) return s;
-  if (offset > whole.size() || whole.size() - offset < length) {
-    return Status::OutOfRange("short read " + path + ": file has " +
-                              std::to_string(whole.size()) + " bytes");
-  }
-  out->assign(whole, offset, length);
-  return Status::OK();
-}
 
 namespace {
 
@@ -75,6 +66,45 @@ class PosixWritableFile final : public WritableFile {
   std::string path_;
 };
 
+/// One descriptor for the handle's lifetime; pread keeps no file position,
+/// so concurrent Reads need no lock.
+class PosixRandomAccessFile final : public RandomAccessFile {
+ public:
+  PosixRandomAccessFile(int fd, std::string path)
+      : fd_(fd), path_(std::move(path)) {}
+  ~PosixRandomAccessFile() override { ::close(fd_); }
+  PosixRandomAccessFile(const PosixRandomAccessFile&) = delete;
+  PosixRandomAccessFile& operator=(const PosixRandomAccessFile&) = delete;
+
+  Status Read(uint64_t offset, size_t n, std::string* out) const override {
+    constexpr uint64_t kMaxOffset =
+        static_cast<uint64_t>(std::numeric_limits<off_t>::max());
+    if (offset > kMaxOffset || n > kMaxOffset - offset) {
+      return Status::OutOfRange("read " + path_ + " past any file end");
+    }
+    out->resize(n);
+    size_t got = 0;
+    while (got < n) {
+      const ssize_t r = ::pread(fd_, out->data() + got, n - got,
+                                static_cast<off_t>(offset + got));
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        return ErrnoStatus("read " + path_, errno);
+      }
+      if (r == 0) {
+        return Status::OutOfRange("short read " + path_ + " at offset " +
+                                  std::to_string(offset));
+      }
+      got += static_cast<size_t>(r);
+    }
+    return Status::OK();
+  }
+
+ private:
+  int fd_;
+  std::string path_;
+};
+
 class PosixEnv final : public Env {
  public:
   Status NewWritableFile(const std::string& path,
@@ -103,6 +133,18 @@ class PosixEnv final : public Env {
     return Status::OK();
   }
 
+  Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<RandomAccessFile>* file) override {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      if (errno == ENOENT) return Status::NotFound("no such file: " + path);
+      return ErrnoStatus("open " + path, errno);
+    }
+    *file = std::make_unique<PosixRandomAccessFile>(fd, path);
+    return Status::OK();
+  }
+
   bool FileExists(const std::string& path) override {
     struct stat st;
     return ::stat(path.c_str(), &st) == 0;
@@ -114,29 +156,6 @@ class PosixEnv final : public Env {
       return ErrnoStatus("stat " + path, errno);
     }
     return static_cast<uint64_t>(st.st_size);
-  }
-
-  Status ReadFileRange(const std::string& path, uint64_t offset,
-                       uint64_t length, std::string* out) override {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      if (errno == ENOENT) return Status::NotFound("no such file: " + path);
-      return ErrnoStatus("open " + path, errno);
-    }
-    out->clear();
-    out->resize(length);
-    size_t got = 0;
-    if (std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0) {
-      got = std::fread(out->data(), 1, length, f);
-    }
-    const bool failed = std::ferror(f) != 0;
-    std::fclose(f);
-    if (failed) return Status::IOError("read " + path + " failed");
-    if (got != length) {
-      return Status::OutOfRange("short read " + path + " at offset " +
-                                std::to_string(offset));
-    }
-    return Status::OK();
   }
 
   Status RenameFile(const std::string& from, const std::string& to) override {

@@ -1,6 +1,7 @@
 #ifndef HYGRAPH_STORAGE_ENV_H_
 #define HYGRAPH_STORAGE_ENV_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -30,11 +31,25 @@ class WritableFile {
   virtual Status Close() = 0;
 };
 
+/// A file opened once for positioned reads. Read is const and safe to call
+/// from many threads at once, and it sees bytes appended to the file after
+/// the handle was opened (a cold-tier miss may read the segment file the
+/// current checkpoint is still writing).
+class RandomAccessFile {
+ public:
+  virtual ~RandomAccessFile();
+
+  /// Reads `n` bytes at `offset` into `*out`. OutOfRange when the file ends
+  /// before `offset + n` (a torn or truncated record).
+  virtual Status Read(uint64_t offset, size_t n, std::string* out) const = 0;
+};
+
 /// The filesystem abstraction the durability layer runs on (RocksDB-style).
 /// Production code uses Env::Default() (POSIX); crash-consistency tests
 /// substitute a FaultInjectionEnv that can fail or truncate at a chosen
-/// operation count. Every durable artifact — WAL, snapshots — goes through
-/// this interface so the fault matrix covers all of them.
+/// operation count. Every durable artifact — WAL, snapshots, segment files,
+/// catalogs — goes through this interface so the fault matrix covers all of
+/// them (the `raw-file-io` lint keeps other file I/O out of src/).
 class Env {
  public:
   virtual ~Env();
@@ -48,13 +63,9 @@ class Env {
   /// Reads the entire file into `*out`. NotFound when absent.
   virtual Status ReadFileToString(const std::string& path,
                                   std::string* out) = 0;
-  /// Reads `length` bytes at `offset` into `*out`. OutOfRange when the file
-  /// ends before `offset + length` (a torn or truncated record). The default
-  /// implementation reads the whole file through ReadFileToString and
-  /// slices, so fault-injection wrappers inherit correct crash semantics;
-  /// Env::Default() overrides it with a positioned read.
-  virtual Status ReadFileRange(const std::string& path, uint64_t offset,
-                               uint64_t length, std::string* out);
+  /// Opens `path` for positioned reads. NotFound when absent.
+  virtual Status NewRandomAccessFile(
+      const std::string& path, std::unique_ptr<RandomAccessFile>* file) = 0;
   virtual bool FileExists(const std::string& path) = 0;
   virtual Result<uint64_t> GetFileSize(const std::string& path) = 0;
   /// Atomically replaces `to` with `from` (POSIX rename semantics).

@@ -136,6 +136,11 @@ Status FaultInjectionEnv::ReadFileToString(const std::string& path,
   return base_->ReadFileToString(path, out);
 }
 
+Status FaultInjectionEnv::NewRandomAccessFile(
+    const std::string& path, std::unique_ptr<RandomAccessFile>* file) {
+  return base_->NewRandomAccessFile(path, file);
+}
+
 bool FaultInjectionEnv::FileExists(const std::string& path) {
   return base_->FileExists(path);
 }

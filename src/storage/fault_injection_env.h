@@ -137,6 +137,11 @@ class FaultInjectionEnv final : public Env {
   Status NewWritableFile(const std::string& path,
                          std::unique_ptr<WritableFile>* file) override;
   Status ReadFileToString(const std::string& path, std::string* out) override;
+  /// Forwarded to the base env and never counted, so adding a read path
+  /// does not shift crash-matrix op numbers. A handle reads the base file,
+  /// so it sees DropUnsyncedData's truncation like any later read would.
+  Status NewRandomAccessFile(const std::string& path,
+                             std::unique_ptr<RandomAccessFile>* file) override;
   bool FileExists(const std::string& path) override;
   Result<uint64_t> GetFileSize(const std::string& path) override;
   Status RenameFile(const std::string& from, const std::string& to) override;

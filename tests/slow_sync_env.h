@@ -38,6 +38,11 @@ class SlowSyncEnv final : public Env {
   Status ReadFileToString(const std::string& path, std::string* out) override {
     return base_->ReadFileToString(path, out);
   }
+  Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<RandomAccessFile>* file) override {
+    return base_->NewRandomAccessFile(path, file);
+  }
   bool FileExists(const std::string& path) override {
     return base_->FileExists(path);
   }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "storage/env.h"
 #include "storage/fault_injection_env.h"
 #include "storage/polyglot.h"
+#include "storage/segment/segment_store.h"
 #include "ts/hypertable.h"
 
 namespace hygraph::storage {
@@ -338,6 +340,95 @@ TEST_P(TieringRecoveryTest, CrashMatrixAcrossCheckpoint) {
       EXPECT_GT(store->recovery().cold_chunks_adopted, 0u);
     }
   }
+}
+
+// A checkpoint that crashes after its segment fsync and before the snapshot
+// rename leaves a segment file that no catalog will ever reference. The
+// next checkpoint's GC must collect it, while keeping the files an earlier
+// checkpoint's records still live in. Swept over every crash point of the
+// checkpoint, so the invariant holds wherever the crash lands.
+TEST_P(TieringRecoveryTest, CrashedCheckpointSegmentFilesAreCollected) {
+  bool crashed = true;
+  for (uint64_t k = 0; crashed && k < 500; ++k) {
+    SCOPED_TRACE("crash point " + std::to_string(k));
+    dir_ = root_ + "/gc_" + std::to_string(k);
+    {  // First process: a clean checkpoint puts a segment file on disk.
+      auto store = MakeStore();
+      ASSERT_TRUE(store->Open().ok());
+      Ingest(store.get());
+      ASSERT_TRUE(store->Checkpoint().ok());
+      if (Hypertable(store.get()) == nullptr) return;  // no segments exist
+    }
+    {  // Second process: new sealed chunks, then a checkpoint that crashes.
+      auto store = MakeStore();
+      ASSERT_TRUE(store->Open().ok());
+      for (int i = 48; i < 96; ++i) {
+        ASSERT_TRUE(store->AppendVertexSample(0, "temp", i * 4, 1.0 * i).ok());
+      }
+      env_->SetCrashAfter(k);
+      const Status s = store->Checkpoint();
+      crashed = env_->crashed();
+      if (!crashed) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+    }
+    if (crashed) {
+      ASSERT_TRUE(env_->DropUnsyncedData().ok());
+    }
+    env_->Revive();
+    {  // Third process: recover and checkpoint again.
+      auto store = MakeStore();
+      ASSERT_TRUE(store->Open().ok());
+      ASSERT_TRUE(store->Checkpoint().ok());
+    }
+    const auto catalogs = ColdFiles(".cold");
+    ASSERT_EQ(catalogs.size(), 1u);
+    std::string bytes;
+    ASSERT_TRUE(
+        env_->ReadFileToString(dir_ + "/cold/" + catalogs[0], &bytes).ok());
+    auto entries = ParseColdCatalog(bytes);
+    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+    std::set<std::string> referenced;
+    for (const ColdCatalogEntry& e : *entries) referenced.insert(e.file);
+    const auto on_disk = ColdFiles(".seg");
+    EXPECT_EQ(std::set<std::string>(on_disk.begin(), on_disk.end()),
+              referenced);
+  }
+  EXPECT_FALSE(crashed) << "checkpoint never outran the crash point";
+}
+
+// Records a retention forgets keep their segment file alive while the
+// process runs (a published version may still pin them); after a restart
+// nothing points into the file, and the next checkpoint collects it.
+TEST_P(TieringRecoveryTest, RetainedSegmentFileIsCollectedAfterRestart) {
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    Ingest(store.get());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    if (Hypertable(store.get()) == nullptr) return;  // no segments exist
+  }
+  const auto spilled = ColdFiles(".seg");
+  ASSERT_EQ(spilled.size(), 1u);
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    // Keep only the hot newest chunk of each series: every cold chunk goes.
+    const Interval keep{47 * 4, kMaxTimestamp};
+    for (const bool vertex : {true, false}) {
+      auto sid = store->inner()->EnsureSeries(vertex, 0, vertex ? "temp"
+                                                                : "load");
+      ASSERT_TRUE(sid.ok()) << sid.status().ToString();
+      ASSERT_TRUE(Hypertable(store.get())->Retain(*sid, keep).ok());
+    }
+    ASSERT_EQ(store->cold_tier()->cache_stats().live_records, 0u);
+    ASSERT_TRUE(store->Checkpoint().ok());
+    EXPECT_EQ(ColdFiles(".seg"), spilled);  // forgotten, still pinnable
+  }
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_TRUE(ColdFiles(".seg").empty());
 }
 
 TEST_P(TieringRecoveryTest, CrashMidIngestRecoversAcknowledgedPrefix) {
