@@ -1,5 +1,6 @@
 #include "query/backend.h"
 
+#include "ts/correlate.h"
 #include "ts/hypertable.h"
 
 namespace hygraph::query {
@@ -44,6 +45,16 @@ Status QueryBackend::MutateTopology(
     return Status::FailedPrecondition("backend topology is read-only");
   }
   return fn(g);
+}
+
+Result<double> QueryBackend::CorrelateSeriesRange(
+    const SeriesSlot& slot, const Interval& interval,
+    const ts::Series& anchor) const {
+  auto range = slot.vertex
+                   ? VertexSeriesRange(slot.entity, slot.key, interval)
+                   : EdgeSeriesRange(slot.entity, slot.key, interval);
+  if (!range.ok()) return range.status();
+  return ts::Correlation(anchor, *range);
 }
 
 Result<double> QueryBackend::VertexSeriesAggregate(graph::VertexId v,

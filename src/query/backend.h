@@ -48,6 +48,14 @@ struct BackendWork {
   }
 };
 
+/// One series of one entity: vertex or edge `entity`'s series under `key`
+/// (the triple SeriesSlotName encodes).
+struct SeriesSlot {
+  bool vertex = true;
+  uint64_t entity = 0;
+  std::string key;
+};
+
 /// The canonical hypertable series name for (entity, key): "v12.temp" for
 /// vertex 12's "temp", "e3.load" for edge 3's. This is the contract between
 /// the polyglot backend (which names series this way) and the cold-tier
@@ -171,6 +179,17 @@ class QueryBackend {
   virtual Result<ts::Series> EdgeSeriesRange(
       graph::EdgeId e, const std::string& key,
       const Interval& interval) const = 0;
+
+  /// Pearson correlation of `slot`'s samples inside `interval` against
+  /// `anchor`, aligned on common timestamps: bit for bit what
+  /// ts::Correlation(anchor, range) returns for the materialized range,
+  /// including FailedPrecondition when fewer than two samples align (which
+  /// HGQL's ts_corr reads as null). The default materializes the range
+  /// through Vertex/EdgeSeriesRange; the hypertable engines stream the
+  /// slot's chunks against the anchor instead.
+  virtual Result<double> CorrelateSeriesRange(const SeriesSlot& slot,
+                                              const Interval& interval,
+                                              const ts::Series& anchor) const;
 
   /// Range aggregate over (vertex, key). The default implementation
   /// materializes the range and folds it; engines with native aggregation

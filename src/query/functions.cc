@@ -189,9 +189,8 @@ Result<bool> Evaluator::EvalPredicate(const Expr& expr,
   return Truthy(*value);
 }
 
-Result<ts::Series> Evaluator::SeriesRangeArg(const Expr& prop_ref,
-                                             const Bindings& bindings,
-                                             const Interval& interval) const {
+Result<SeriesSlot> Evaluator::SlotArg(const Expr& prop_ref,
+                                      const Bindings& bindings) const {
   if (prop_ref.kind != Expr::Kind::kPropertyRef) {
     return Status::InvalidArgument(
         "ts_* functions take a property reference (var.key) as the series "
@@ -201,54 +200,86 @@ Result<ts::Series> Evaluator::SeriesRangeArg(const Expr& prop_ref,
   if (bound == bindings.end()) {
     return Status::InvalidArgument("unbound variable '" + prop_ref.var + "'");
   }
-  const RangeKey cache_key{bound->second.is_edge, bound->second.id,
-                           prop_ref.key, interval.start, interval.end};
-  auto hit = range_cache_.find(cache_key);
-  if (hit != range_cache_.end()) {
+  return SeriesSlot{!bound->second.is_edge, bound->second.id, prop_ref.key};
+}
+
+std::shared_ptr<const ts::Series> Evaluator::FindRange(
+    const SeriesSlot& slot, const Interval& interval) const {
+  auto hit = range_cache_.find(RangeKey{slot.vertex, slot.entity, slot.key,
+                                        interval.start, interval.end});
+  return hit == range_cache_.end() ? nullptr : hit->second;
+}
+
+Result<std::shared_ptr<const ts::Series>> Evaluator::SeriesRange(
+    const SeriesSlot& slot, const Interval& interval) const {
+  if (auto hit = FindRange(slot, interval)) {
     ++memo_stats_.hits;
-    return hit->second;
+    return hit;
   }
   ++memo_stats_.misses;
-  auto series =
-      bound->second.is_edge
-          ? backend_->EdgeSeriesRange(bound->second.id, prop_ref.key, interval)
-          : backend_->VertexSeriesRange(bound->second.id, prop_ref.key,
-                                        interval);
-  if (!series.ok()) return series;
+  auto series = slot.vertex
+                    ? backend_->VertexSeriesRange(slot.entity, slot.key,
+                                                  interval)
+                    : backend_->EdgeSeriesRange(slot.entity, slot.key,
+                                                interval);
+  if (!series.ok()) return series.status();
+  auto shared = std::make_shared<const ts::Series>(std::move(*series));
   constexpr size_t kRangeCacheCap = 64;
   if (range_cache_.size() >= kRangeCacheCap) range_cache_.clear();
-  range_cache_.emplace(cache_key, *series);
-  return series;
+  range_cache_.emplace(RangeKey{slot.vertex, slot.entity, slot.key,
+                                interval.start, interval.end},
+                       shared);
+  return shared;
+}
+
+Result<std::shared_ptr<const ts::Series>> Evaluator::SeriesRangeArg(
+    const Expr& prop_ref, const Bindings& bindings,
+    const Interval& interval) const {
+  auto slot = SlotArg(prop_ref, bindings);
+  if (!slot.ok()) return slot.status();
+  return SeriesRange(*slot, interval);
+}
+
+Result<double> Evaluator::Correlate(const SeriesSlot& a, const SeriesSlot& b,
+                                    const Interval& interval) const {
+  const std::shared_ptr<const ts::Series> memo_a = FindRange(a, interval);
+  const std::shared_ptr<const ts::Series> memo_b = FindRange(b, interval);
+  if ((memo_a == nullptr) != (memo_b == nullptr)) {
+    // The memoized side is the anchor (a one-vs-all statement memoizes it
+    // on its first row); the other side streams and is never materialized.
+    // It still counts as the memo miss its materialization would have been.
+    ++memo_stats_.hits;
+    ++memo_stats_.misses;
+    return memo_a != nullptr
+               ? backend_->CorrelateSeriesRange(b, interval, *memo_a)
+               : backend_->CorrelateSeriesRange(a, interval, *memo_b);
+  }
+  auto range_a = SeriesRange(a, interval);
+  if (!range_a.ok()) return range_a.status();
+  auto range_b = SeriesRange(b, interval);
+  if (!range_b.ok()) return range_b.status();
+  return ts::Correlation(**range_a, **range_b);
 }
 
 Result<double> Evaluator::SeriesAggregateArg(const Expr& prop_ref,
                                              const Bindings& bindings,
                                              const Interval& interval,
                                              ts::AggKind kind) const {
-  if (prop_ref.kind != Expr::Kind::kPropertyRef) {
-    return Status::InvalidArgument(
-        "ts_* functions take a property reference (var.key) as the series "
-        "argument");
-  }
-  auto bound = bindings.find(prop_ref.var);
-  if (bound == bindings.end()) {
-    return Status::InvalidArgument("unbound variable '" + prop_ref.var + "'");
-  }
-  const AggKey cache_key{bound->second.is_edge, bound->second.id,
-                         prop_ref.key,          interval.start,
-                         interval.end,          static_cast<int>(kind)};
+  auto slot = SlotArg(prop_ref, bindings);
+  if (!slot.ok()) return slot.status();
+  const AggKey cache_key{!slot->vertex,  slot->entity, slot->key,
+                         interval.start, interval.end, static_cast<int>(kind)};
   auto hit = agg_cache_.find(cache_key);
   if (hit != agg_cache_.end()) {
     ++memo_stats_.hits;
     return hit->second;
   }
   ++memo_stats_.misses;
-  auto result =
-      bound->second.is_edge
-          ? backend_->EdgeSeriesAggregate(bound->second.id, prop_ref.key,
-                                          interval, kind)
-          : backend_->VertexSeriesAggregate(bound->second.id, prop_ref.key,
-                                            interval, kind);
+  auto result = slot->vertex
+                    ? backend_->VertexSeriesAggregate(slot->entity, slot->key,
+                                                      interval, kind)
+                    : backend_->EdgeSeriesAggregate(slot->entity, slot->key,
+                                                    interval, kind);
   // A prefetched batch holds one entry per matched entity, so the cap is
   // sized for multi-entity scans rather than the range memo's 64.
   constexpr size_t kAggCacheCap = 4096;
@@ -350,12 +381,18 @@ Result<Value> Evaluator::EvalCall(
     if (expr.args.size() != 4) return Status(ArityError(name, 4, expr.args.size()));
     auto interval = interval_from_args(2);
     if (!interval.ok()) return interval.status();
-    auto a = SeriesRangeArg(*expr.args[0], bindings, *interval);
+    auto a = SlotArg(*expr.args[0], bindings);
     if (!a.ok()) return a.status();
-    auto b = SeriesRangeArg(*expr.args[1], bindings, *interval);
+    auto b = SlotArg(*expr.args[1], bindings);
     if (!b.ok()) return b.status();
-    auto corr = ts::Correlation(*a, *b);
-    if (!corr.ok()) return Value();  // insufficient overlap -> null
+    auto corr = Correlate(*a, *b, *interval);
+    if (!corr.ok()) {
+      // Insufficient overlap is null; a failed read is an error.
+      if (corr.status().code() == StatusCode::kFailedPrecondition) {
+        return Value();
+      }
+      return corr.status();
+    }
     return Value(*corr);
   }
 
@@ -449,10 +486,11 @@ Result<Value> Evaluator::EvalCall(
     if (expr.args.size() != 3) return Status(ArityError(name, 3, expr.args.size()));
     auto interval = interval_from_args(1);
     if (!interval.ok()) return interval.status();
-    auto series = SeriesRangeArg(*expr.args[0], bindings, *interval);
-    if (!series.ok()) return series.status();
-    if (series->size() < 2) return Value();
-    const ts::Segment fit = ts::FitSegment(*series, 0, series->size());
+    auto range = SeriesRangeArg(*expr.args[0], bindings, *interval);
+    if (!range.ok()) return range.status();
+    const ts::Series& series = **range;
+    if (series.size() < 2) return Value();
+    const ts::Segment fit = ts::FitSegment(series, 0, series.size());
     return Value(fit.slope * static_cast<double>(kDay));
   }
 
@@ -466,9 +504,9 @@ Result<Value> Evaluator::EvalCall(
     if (!threshold.ok()) return threshold;
     auto td = threshold->ToDouble();
     if (!td.ok()) return td.status();
-    auto series = SeriesRangeArg(*expr.args[0], bindings, *interval);
-    if (!series.ok()) return series.status();
-    auto anomalies = ts::DetectSlidingWindow(*series, 24, *td);
+    auto range = SeriesRangeArg(*expr.args[0], bindings, *interval);
+    if (!range.ok()) return range.status();
+    auto anomalies = ts::DetectSlidingWindow(**range, 24, *td);
     if (!anomalies.ok()) return Value(int64_t{0});
     return Value(static_cast<int64_t>(anomalies->size()));
   }
@@ -486,12 +524,12 @@ Result<Value> Evaluator::EvalCall(
     auto ad = alphabet->ToDouble();
     if (!sd.ok()) return sd.status();
     if (!ad.ok()) return ad.status();
-    auto series = SeriesRangeArg(*expr.args[0], bindings, *interval);
-    if (!series.ok()) return series.status();
+    auto range = SeriesRangeArg(*expr.args[0], bindings, *interval);
+    if (!range.ok()) return range.status();
     ts::SaxOptions options;
     options.segments = static_cast<size_t>(*sd);
     options.alphabet = static_cast<size_t>(*ad);
-    auto word = ts::SaxWord(*series, options);
+    auto word = ts::SaxWord(**range, options);
     if (!word.ok()) return Value();  // too short -> null
     return Value(*word);
   }

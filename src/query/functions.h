@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -32,7 +33,9 @@ using Bindings = std::map<std::string, Binding>;
 ///   ts_avg|ts_sum|ts_min|ts_max|ts_count|ts_stddev|ts_first|ts_last
 ///       (x.key, t_start, t_end)        range aggregate over a series
 ///   ts_corr(a.key, b.key, t_start, t_end)
-///       Pearson correlation of two series over a range
+///       Pearson correlation of two series over a range; once one side's
+///       range is memoized, the other side streams through the backend
+///       (QueryBackend::CorrelateSeriesRange) and is never materialized
 ///   ts_count_between(x.key, t_start, t_end, lo, hi)
 ///       number of samples in the range with lo <= value <= hi; pushed
 ///       down to the backend so the hypertable can answer from zone maps
@@ -87,20 +90,37 @@ class Evaluator {
                                     const Bindings& bindings,
                                     const Interval& interval,
                                     ts::AggKind kind) const;
-  Result<ts::Series> SeriesRangeArg(const Expr& prop_ref,
-                                    const Bindings& bindings,
-                                    const Interval& interval) const;
+  /// The series slot a `var.key` argument names under `bindings`.
+  Result<SeriesSlot> SlotArg(const Expr& prop_ref,
+                             const Bindings& bindings) const;
+  /// `slot`'s range inside `interval`: the memoized series, or the
+  /// backend's range, which is memoized first. Shared with the memo, so
+  /// it stays valid when the memo is cleared.
+  Result<std::shared_ptr<const ts::Series>> SeriesRange(
+      const SeriesSlot& slot, const Interval& interval) const;
+  Result<std::shared_ptr<const ts::Series>> SeriesRangeArg(
+      const Expr& prop_ref, const Bindings& bindings,
+      const Interval& interval) const;
+  /// The memoized range, or null; counts nothing.
+  std::shared_ptr<const ts::Series> FindRange(const SeriesSlot& slot,
+                                              const Interval& interval) const;
+  /// ts_corr over two slots. When exactly one side's range is memoized,
+  /// it is the anchor and the other side streams through
+  /// CorrelateSeriesRange; otherwise both ranges are read through the
+  /// memo and correlated in memory.
+  Result<double> Correlate(const SeriesSlot& a, const SeriesSlot& b,
+                           const Interval& interval) const;
 
   const QueryBackend* backend_;
 
-  /// Memo for SeriesRangeArg, keyed (is_edge, id, key, start, end). An
+  /// Memo for SeriesRange, keyed (vertex, id, key, start, end). An
   /// Evaluator lives for one ExecutePlan, where repeated ts_* calls on the
   /// same (entity, key, range) are common — e.g. a correlation query pins
   /// one entity and re-reads its range on every row. Bounded: overflow
   /// clears the whole cache rather than evicting.
   using RangeKey =
       std::tuple<bool, uint64_t, std::string, Timestamp, Timestamp>;
-  mutable std::map<RangeKey, ts::Series> range_cache_;
+  mutable std::map<RangeKey, std::shared_ptr<const ts::Series>> range_cache_;
 
   /// Memo for SeriesAggregateArg, keyed (is_edge, id, key, start, end,
   /// kind). Seeded in bulk by PrefetchAggregates; also fills lazily so a

@@ -1033,6 +1033,12 @@ Result<ts::Series> DurableStore::EdgeSeriesRange(
   return inner_->EdgeSeriesRange(e, key, interval);
 }
 
+Result<double> DurableStore::CorrelateSeriesRange(
+    const query::SeriesSlot& slot, const Interval& interval,
+    const ts::Series& anchor) const {
+  return inner_->CorrelateSeriesRange(slot, interval, anchor);
+}
+
 Result<double> DurableStore::VertexSeriesAggregate(graph::VertexId v,
                                                    const std::string& key,
                                                    const Interval& interval,

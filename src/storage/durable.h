@@ -201,6 +201,9 @@ class DurableStore final : public query::QueryBackend {
                                        const Interval& interval) const override;
   Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
                                      const Interval& interval) const override;
+  Result<double> CorrelateSeriesRange(const query::SeriesSlot& slot,
+                                      const Interval& interval,
+                                      const ts::Series& anchor) const override;
   Result<double> VertexSeriesAggregate(graph::VertexId v,
                                        const std::string& key,
                                        const Interval& interval,

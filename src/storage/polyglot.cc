@@ -4,6 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "ts/correlate.h"
+
 namespace hygraph::storage {
 
 namespace {
@@ -146,6 +148,14 @@ class PolyglotSnapshot final : public query::QueryBackend {
     auto sid = ResolveIn(maps_->edge, e, key);
     if (!sid.ok()) return ts::Series(key);
     return series_->Materialize(*sid, interval);
+  }
+
+  Result<double> CorrelateSeriesRange(
+      const query::SeriesSlot& slot, const Interval& interval,
+      const ts::Series& anchor) const override {
+    auto sid = ResolveIn(maps_->of(slot.vertex), slot.entity, slot.key);
+    if (!sid.ok()) return ts::Correlation(anchor, ts::Series(slot.key));
+    return series_->Correlate(*sid, interval, anchor);
   }
 
   Result<double> VertexSeriesAggregate(graph::VertexId v,
@@ -402,6 +412,14 @@ Result<ts::Series> PolyglotStore::EdgeSeriesRange(
   auto sid = ResolveLocked(/*vertex=*/false, e, key);
   if (!sid.ok()) return ts::Series(key);
   return series_.Materialize(*sid, interval);
+}
+
+Result<double> PolyglotStore::CorrelateSeriesRange(
+    const query::SeriesSlot& slot, const Interval& interval,
+    const ts::Series& anchor) const {
+  auto sid = ResolveLocked(slot.vertex, slot.entity, slot.key);
+  if (!sid.ok()) return ts::Correlation(anchor, ts::Series(slot.key));
+  return series_.Correlate(*sid, interval, anchor);
 }
 
 Result<double> PolyglotStore::VertexSeriesAggregate(graph::VertexId v,

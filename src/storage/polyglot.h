@@ -74,6 +74,13 @@ class PolyglotStore final : public query::QueryBackend {
   Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
                                      const Interval& interval) const override;
 
+  /// Streamed correlation: the hypertable merge-joins the slot's chunks
+  /// against the anchor (HypertableStore::Correlate), so the slot's range
+  /// is never materialized.
+  Result<double> CorrelateSeriesRange(const query::SeriesSlot& slot,
+                                      const Interval& interval,
+                                      const ts::Series& anchor) const override;
+
   /// Native aggregation: answered by the hypertable's chunk-pruned,
   /// cache-assisted aggregate instead of materializing the range.
   Result<double> VertexSeriesAggregate(graph::VertexId v,

@@ -129,6 +129,21 @@ bool ParseSegmentFileName(const std::string& name, uint64_t* index) {
          consumed == static_cast<int>(name.size());
 }
 
+// A failed open or read of chunk `id`'s segment file keeps its class: a
+// file the catalog references but that is gone (NotFound), or a record the
+// file ends before (OutOfRange, a short read), is damage to the tier
+// (kCorruption); anything else, such as EMFILE or EIO, is an I/O failure
+// that may pass (kIOError).
+Status PinFailure(ts::ColdChunkId id, const Status& cause) {
+  const std::string message =
+      "cold chunk " + std::to_string(id) + " unreadable: " + cause.ToString();
+  if (cause.code() == StatusCode::kNotFound ||
+      cause.code() == StatusCode::kOutOfRange) {
+    return Status::Corruption(message);
+  }
+  return Status::IOError(message);
+}
+
 }  // namespace
 
 std::string EncodeColdCatalog(const std::vector<ColdCatalogEntry>& entries) {
@@ -391,10 +406,7 @@ Result<std::shared_ptr<const std::string>> SegmentStore::Pin(
   if (reader == nullptr) {
     std::unique_ptr<RandomAccessFile> opened;
     Status open = env_->NewRandomAccessFile(PathFor(file), &opened);
-    if (!open.ok()) {
-      return Status::Corruption("cold chunk " + std::to_string(id) +
-                                " unreadable: " + open.ToString());
-    }
+    if (!open.ok()) return PinFailure(id, open);
     MutexLock lock(mu_);
     reader = KeepReader(file, std::move(opened));
   }
@@ -414,10 +426,7 @@ Result<std::shared_ptr<const std::string>> SegmentStore::Pin(
                  stored_crc;
   }
   m_.pin_read_nanos->Record(clock->NowNanos() - start);
-  if (!read.ok()) {
-    return Status::Corruption("cold chunk " + std::to_string(id) +
-                              " unreadable: " + read.ToString());
-  }
+  if (!read.ok()) return PinFailure(id, read);
   if (!intact) {
     return Status::Corruption("cold chunk " + std::to_string(id) +
                               " failed its frame check");

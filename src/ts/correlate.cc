@@ -8,47 +8,37 @@ namespace hygraph::ts {
 
 void AlignOnTimestamps(const Series& a, const Series& b,
                        std::vector<double>* va, std::vector<double>* vb) {
-  va->clear();
-  vb->clear();
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const Timestamp ta = a.at(i).t;
-    const Timestamp tb = b.at(j).t;
-    if (ta == tb) {
-      va->push_back(a.at(i).value);
-      vb->push_back(b.at(j).value);
-      ++i;
-      ++j;
-    } else if (ta < tb) {
-      ++i;
-    } else {
-      ++j;
-    }
+  AlignedPairs pairs(a);
+  for (const Sample& s : b.samples()) pairs.Add(s);
+  *va = pairs.anchor_values();
+  *vb = pairs.values();
+}
+
+Result<double> AlignedPairs::Finish(size_t min_overlap) const {
+  if (values_.size() < std::max<size_t>(min_overlap, 2)) {
+    return Status::FailedPrecondition(
+        "correlation: only " + std::to_string(values_.size()) +
+        " aligned samples (need " + std::to_string(min_overlap) + ")");
   }
+  return PearsonCorrelation(anchor_values_, values_);
 }
 
 Result<double> Correlation(const Series& a, const Series& b,
                            size_t min_overlap) {
-  std::vector<double> va;
-  std::vector<double> vb;
-  AlignOnTimestamps(a, b, &va, &vb);
-  if (va.size() < std::max<size_t>(min_overlap, 2)) {
-    return Status::FailedPrecondition(
-        "correlation: only " + std::to_string(va.size()) +
-        " aligned samples (need " + std::to_string(min_overlap) + ")");
-  }
-  return PearsonCorrelation(va, vb);
+  AlignedPairs pairs(a);
+  pairs.Reserve(std::min(a.size(), b.size()));
+  for (const Sample& s : b.samples()) pairs.Add(s);
+  return pairs.Finish(min_overlap);
 }
 
 Result<double> CrossCorrelation(const Series& a, const Series& b,
                                 Duration lag_ms, size_t min_overlap) {
-  // Shift b's time axis by -lag so that b(t + lag) aligns with a(t).
-  Series shifted(b.name());
-  for (const Sample& s : b.samples()) {
-    HYGRAPH_IGNORE_RESULT(shifted.Append(s.t - lag_ms, s.value));
-  }
-  return Correlation(a, shifted, min_overlap);
+  // b(t + lag) aligns with a(t): stream b with its time axis shifted by
+  // -lag.
+  AlignedPairs pairs(a);
+  pairs.Reserve(std::min(a.size(), b.size()));
+  for (const Sample& s : b.samples()) pairs.Add(Sample{s.t - lag_ms, s.value});
+  return pairs.Finish(min_overlap);
 }
 
 Result<BestLag> FindBestLag(const Series& a, const Series& b,

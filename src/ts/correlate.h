@@ -14,6 +14,53 @@ namespace hygraph::ts {
 /// computing; series sampled on different grids can first be resampled with
 /// DownsampleAverage.
 
+/// The one correlation kernel: merge-joins a time-ordered stream of
+/// samples against an anchor's samples, one sample at a time, keeping the
+/// values of every aligned pair, then runs the two-pass PearsonCorrelation
+/// over them. Correlation() feeds it a whole series; the hypertable feeds
+/// it a series' samples chunk by chunk as it decodes them, so that side is
+/// never materialized. PearsonCorrelation is symmetric bit for bit (each
+/// sum is formed on its own and products commute), so it does not matter
+/// which side of a correlation is the anchor. The anchor must outlive the
+/// accumulator.
+class AlignedPairs {
+ public:
+  explicit AlignedPairs(const Series& anchor)
+      : next_(anchor.samples().data()),
+        end_(anchor.samples().data() + anchor.size()) {}
+
+  /// Room for `n` pairs, so the buffers never grow while samples stream.
+  void Reserve(size_t n) {
+    anchor_values_.reserve(n);
+    values_.reserve(n);
+  }
+
+  /// Merge-joins one sample of the streamed side; samples must arrive in
+  /// strictly increasing time order.
+  void Add(const Sample& s) {
+    while (next_ != end_ && next_->t < s.t) ++next_;
+    if (next_ != end_ && next_->t == s.t) {
+      anchor_values_.push_back(next_->value);
+      values_.push_back(s.value);
+      ++next_;
+    }
+  }
+
+  /// The aligned values, in time order: the anchor's and the stream's.
+  const std::vector<double>& anchor_values() const { return anchor_values_; }
+  const std::vector<double>& values() const { return values_; }
+
+  /// Pearson correlation over the aligned pairs. Fails with
+  /// FailedPrecondition when fewer than `min_overlap` (at least 2) aligned.
+  Result<double> Finish(size_t min_overlap = 2) const;
+
+ private:
+  const Sample* next_;  // the first anchor sample not yet passed
+  const Sample* end_;
+  std::vector<double> anchor_values_;
+  std::vector<double> values_;
+};
+
 /// Pearson correlation over the aligned common timestamps of a and b.
 /// Fails when fewer than `min_overlap` timestamps align.
 Result<double> Correlation(const Series& a, const Series& b,

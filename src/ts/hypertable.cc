@@ -5,6 +5,8 @@
 #include <memory>
 #include <utility>
 
+#include "ts/correlate.h"
+
 namespace hygraph::ts {
 
 Status HypertableStore::NoSuchSeries(SeriesId id) {
@@ -656,6 +658,33 @@ Result<Series> HypertableStore::Materialize(SeriesId id,
   }
   HYGRAPH_RETURN_IF_ERROR(append);
   return out;
+}
+
+Result<double> HypertableStore::Correlate(SeriesId id,
+                                          const Interval& interval,
+                                          const Series& anchor) const {
+  const Interval span = interval.Intersect(anchor.TimeSpan());
+  auto view = PinView(id, span, /*want_aggregates=*/false);
+  if (!view.ok()) return view.status();
+  m_.chunks_total->Add(view->chunk_count);
+  // At most min(range, anchor) samples align; each pair holds two doubles.
+  const size_t capacity = std::min(view->overlap_estimate, anchor.size());
+  const uint64_t bytes = 2 * capacity * sizeof(double);
+  QueryContext* ctx = QueryContext::Current();
+  if (ctx != nullptr) HYGRAPH_RETURN_IF_ERROR(ctx->ReserveMemory(bytes));
+  AlignedPairs pairs(anchor);
+  pairs.Reserve(capacity);
+  Status scan = Status::OK();
+  std::vector<Sample> scratch;
+  for (const PinnedChunk& chunk : view->chunks) {
+    m_.chunks_scanned->Increment();
+    scan = VisitChunk(chunk, span, ScanPredicate{}, &scratch,
+                      [&pairs](const Sample& s) { pairs.Add(s); });
+    if (!scan.ok()) break;
+  }
+  if (ctx != nullptr) ctx->ReleaseMemory(bytes);
+  HYGRAPH_RETURN_IF_ERROR(scan);
+  return pairs.Finish();
 }
 
 Result<size_t> HypertableStore::CountMatching(

@@ -252,6 +252,16 @@ class HypertableStore {
   /// Materializes `id`'s samples inside `interval` as a Series.
   Result<Series> Materialize(SeriesId id, const Interval& interval) const;
 
+  /// Pearson correlation of `id`'s samples inside `interval` against
+  /// `anchor`: bit for bit what Correlation(anchor, Materialize(id,
+  /// interval)) returns, without materializing the range. Only chunks
+  /// overlapping the anchor's time span are pinned, since nothing outside
+  /// it can align, and their samples stream through VisitChunk into an
+  /// AlignedPairs. The pair buffers are reserved against the calling
+  /// thread's QueryContext for the call only.
+  Result<double> Correlate(SeriesId id, const Interval& interval,
+                           const Series& anchor) const;
+
   /// Range aggregate using chunk pruning + the per-chunk aggregate cache.
   /// The reduction order is fixed: one AggState per chunk (its cached
   /// partial, or its clipped samples folded into a chunk-local partial)

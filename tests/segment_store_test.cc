@@ -28,6 +28,7 @@ bool IsSegmentPath(const std::string& path) {
 
 /// Forwards to a base env and counts the I/O shape of the cold tier:
 /// segment files created, segment-file fsyncs, and read handles opened.
+/// FailRandomOpens makes opening a read handle fail as EMFILE does.
 class CountingEnv final : public Env {
  public:
   explicit CountingEnv(Env* base) : base_(base) {}
@@ -35,6 +36,7 @@ class CountingEnv final : public Env {
   int segment_creates() const { return segment_creates_; }
   int segment_syncs() const { return segment_syncs_; }
   int random_opens() const { return random_opens_; }
+  void FailRandomOpens(bool fail) { fail_random_opens_ = fail; }
 
   Status NewWritableFile(const std::string& path,
                          std::unique_ptr<WritableFile>* file) override {
@@ -50,6 +52,9 @@ class CountingEnv final : public Env {
       const std::string& path,
       std::unique_ptr<RandomAccessFile>* file) override {
     ++random_opens_;
+    if (fail_random_opens_) {
+      return Status::IOError("open " + path + ": Too many open files");
+    }
     return base_->NewRandomAccessFile(path, file);
   }
   Status ReadFileToString(const std::string& path, std::string* out) override {
@@ -101,6 +106,7 @@ class CountingEnv final : public Env {
   std::atomic<int> segment_creates_{0};
   std::atomic<int> segment_syncs_{0};
   std::atomic<int> random_opens_{0};
+  std::atomic<bool> fail_random_opens_{false};
 };
 
 class SegmentStoreTest : public ::testing::Test {
@@ -202,6 +208,49 @@ TEST_F(SegmentStoreTest, MissesOpenEachSegmentFileOnce) {
   }
   EXPECT_EQ((*store)->cache_stats().misses, 50u);
   EXPECT_EQ(env.random_opens(), 1);
+}
+
+TEST_F(SegmentStoreTest, FailedOpenIsAnIOErrorNotCorruption) {
+  CountingEnv env(Env::Default());
+  SegmentStoreOptions options;
+  options.env = &env;
+  options.dir = root_ + "/cold";
+  options.cache_budget_bytes = 1;
+  auto store = SegmentStore::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto id = (*store)->Put("v0.temp", 0, {}, "payload");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE((*store)->SyncSegments().ok());
+  // A descriptor shortage is no damage to the tier: the pin says so, names
+  // the chunk, and the next pin after it passes serves the bytes.
+  env.FailRandomOpens(true);
+  auto pinned = (*store)->Pin(*id);
+  ASSERT_FALSE(pinned.ok());
+  EXPECT_EQ(pinned.status().code(), StatusCode::kIOError)
+      << pinned.status().ToString();
+  EXPECT_NE(pinned.status().message().find("cold chunk " +
+                                           std::to_string(*id)),
+            std::string::npos)
+      << pinned.status().ToString();
+  env.FailRandomOpens(false);
+  pinned = (*store)->Pin(*id);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(**pinned, "payload");
+}
+
+TEST_F(SegmentStoreTest, ScanReturnsAFailedOpenUnwrapped) {
+  CountingEnv env(Env::Default());
+  auto store = MakeTieredStore(&env, /*cache_budget=*/1);
+  ASSERT_TRUE(store->Open().ok());
+  IngestSeries(store.get(), 2);
+  ASSERT_TRUE(store->Checkpoint().ok());
+  env.FailRandomOpens(true);
+  auto range = store->VertexSeriesRange(0, "temp", Interval::All());
+  ASSERT_FALSE(range.ok());
+  EXPECT_EQ(range.status().code(), StatusCode::kIOError)
+      << range.status().ToString();
+  env.FailRandomOpens(false);
+  ScanEverySeries(store.get(), 2);
 }
 
 TEST_F(SegmentStoreTest, ShortWriteRetiresTheSegmentFile) {
