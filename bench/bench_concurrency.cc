@@ -84,7 +84,7 @@ void BenchIngestBaseline(bool smoke) {
     const auto v = (*stations)[i % stations->size()];
     const Timestamp t = from + static_cast<Timestamp>(i) * 1000;
     const uint64_t start = clock->NowNanos();
-    if (!store.AppendVertexSample(v, "bikes", t, ValueAt(t)).ok()) {
+    if (!store.AppendSample({true, v, "bikes"}, t, ValueAt(t)).ok()) {
       std::exit(1);
     }
     latency.Record(clock->NowNanos() - start);

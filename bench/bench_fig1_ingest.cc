@@ -47,8 +47,8 @@ int main() {
     const double red_ms = bench::TimeMs([&] {
       for (size_t s = 0; s < kStations; ++s) {
         for (size_t i = 0; i < batch; ++i) {
-          (void)red.AppendVertexSample(
-              red_ids[s], "bikes",
+          (void)red.AppendSample(
+              {true, red_ids[s], "bikes"},
               static_cast<Timestamp>(begin + i) * kStep,
               std::sin(static_cast<double>(begin + i) * 0.01));
         }
@@ -57,8 +57,8 @@ int main() {
     const double green_ms = bench::TimeMs([&] {
       for (size_t s = 0; s < kStations; ++s) {
         for (size_t i = 0; i < batch; ++i) {
-          (void)green.AppendVertexSample(
-              green_ids[s], "bikes",
+          (void)green.AppendSample(
+              {true, green_ids[s], "bikes"},
               static_cast<Timestamp>(begin + i) * kStep,
               std::sin(static_cast<double>(begin + i) * 0.01));
         }

@@ -94,7 +94,7 @@ void Ingest(Env* env, const std::string& dir, int samples, bool checkpoint) {
   auto v = store.AddVertex({"Sensor"}, {});
   if (!v.ok()) std::exit(1);
   for (int i = 0; i < samples; ++i) {
-    (void)store.AppendVertexSample(*v, "temp", 1000 + i, 0.25 * i);
+    (void)store.AppendSample({true, *v, "temp"}, 1000 + i, 0.25 * i);
   }
   if (checkpoint && !store.Checkpoint().ok()) std::exit(1);
   (void)store.SyncWal();

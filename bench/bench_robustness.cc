@@ -160,14 +160,14 @@ void BenchDegradedReads(bool smoke) {
   auto v = store.AddVertex({"Sensor"}, {});
   if (!v.ok()) std::exit(1);
   for (int i = 0; i < samples; ++i) {
-    (void)store.AppendVertexSample(*v, "temp", 1000 + i * kMinute, 0.25 * i);
+    (void)store.AppendSample({true, *v, "temp"}, 1000 + i * kMinute, 0.25 * i);
   }
 
   double checksum = 0.0;
   auto read_pass = [&] {
     for (int i = 0; i < reads; ++i) {
-      auto agg = store.VertexSeriesAggregate(*v, "temp", Interval::All(),
-                                             ts::AggKind::kSum);
+      auto agg = store.SeriesAggregate({true, *v, "temp"}, Interval::All(),
+                                       ts::AggKind::kSum);
       if (!agg.ok()) std::exit(1);
       checksum += *agg;
     }
@@ -179,7 +179,7 @@ void BenchDegradedReads(bool smoke) {
   // Poison the store: unbounded transient faults exhaust the retry budget
   // on the next mutation and flip it to degraded read-only.
   fenv.SetTransientFailNext(~uint64_t{0} / 2);
-  (void)store.AppendVertexSample(*v, "temp", 0, 0.0);
+  (void)store.AppendSample({true, *v, "temp"}, 0, 0.0);
   if (!store.degraded()) {
     std::fprintf(stderr, "store did not enter degraded mode\n");
     std::exit(1);

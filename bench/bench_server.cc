@@ -95,7 +95,8 @@ Fixture StartFixture() {
     if (!v.ok()) std::exit(1);
     f.vertex = *v;
     for (int i = 0; i < 100; ++i) {
-      if (!f.store->AppendVertexSample(*v, "load", 1000 * i, double(i)).ok()) {
+      if (!f.store->AppendSample({true, *v, "load"}, 1000 * i, double(i))
+               .ok()) {
         std::exit(1);
       }
     }

@@ -91,18 +91,18 @@ void Ingest(const std::string& dir, double cold_fraction) {
   if (!v.ok()) std::exit(1);
   const int boundary = static_cast<int>(kSamples * cold_fraction);
   for (int i = 0; i < boundary; ++i) {
-    (void)store->AppendVertexSample(*v, "temp", i, 0.25 * i);
+    (void)store->AppendSample({true, *v, "temp"}, i, 0.25 * i);
   }
   if (boundary > 0 && !store->Checkpoint().ok()) std::exit(1);
   for (int i = boundary; i < kSamples; ++i) {
-    (void)store->AppendVertexSample(*v, "temp", i, 0.25 * i);
+    (void)store->AppendSample({true, *v, "temp"}, i, 0.25 * i);
   }
   (void)store->SyncWal();
 }
 
 double SweepMs(DurableStore* store) {
   return TimeMs([&] {
-    auto range = store->VertexSeriesRange(0, "temp", Interval::All());
+    auto range = store->SeriesRange({true, 0, "temp"}, Interval::All());
     if (!range.ok() || range->samples().size() < size_t(kSamples) / 2) {
       std::fprintf(stderr, "scan lost samples\n");
       std::exit(1);
@@ -147,7 +147,7 @@ void SpillCase(const std::string& suffix, int series, int per_series) {
     auto v = store->AddVertex({"Sensor"}, {});
     if (!v.ok()) std::exit(1);
     for (int i = 0; i < per_series; ++i) {
-      (void)store->AppendVertexSample(*v, "temp", i, 0.25 * i);
+      (void)store->AppendSample({true, *v, "temp"}, i, 0.25 * i);
     }
   }
   const size_t sealed =

@@ -46,8 +46,8 @@ int main() {
     auto link = store.AddEdge(*sensor, *station, "mounted_at", {});
     Check(link.status(), "add edge");
     for (int i = 0; i < 24; ++i) {
-      Check(store.AppendVertexSample(*sensor, "temperature",
-                                     1700000000000 + i * kHour, 15.0 + i % 7),
+      Check(store.AppendSample({true, *sensor, "temperature"},
+                               1700000000000 + i * kHour, 15.0 + i % 7),
             "append sample");
     }
     std::printf("ingested: %zu vertices, %zu edges, 24 samples\n",
@@ -61,8 +61,8 @@ int main() {
 
     // 3. More writes after the checkpoint — these live only in the WAL.
     for (int i = 24; i < 30; ++i) {
-      Check(store.AppendVertexSample(*sensor, "temperature",
-                                     1700000000000 + i * kHour, 21.5),
+      Check(store.AppendSample({true, *sensor, "temperature"},
+                               1700000000000 + i * kHour, 21.5),
             "append sample");
     }
     std::printf("appended 6 post-checkpoint samples\n\n");
@@ -87,15 +87,15 @@ int main() {
   std::printf("  torn tail salvaged:   %s (%llu bytes dropped)\n",
               stats.wal_torn_tail ? "yes" : "no",
               static_cast<unsigned long long>(stats.wal_bytes_dropped));
-  auto series = store.VertexSeriesRange(1, "temperature", Interval::All());
+  auto series = store.SeriesRange({true, 1, "temperature"}, Interval::All());
   Check(series.status(), "read series");
   std::printf("  samples recovered:    %zu of 30 (the record the tear hit "
               "was truncated away; everything before it survived)\n",
               series->samples().size());
 
   // 6. The recovered store is immediately writable again.
-  Check(store.AppendVertexSample(1, "temperature",
-                                 1700000000000 + 30 * kHour, 19.0),
+  Check(store.AppendSample({true, 1, "temperature"},
+                           1700000000000 + 30 * kHour, 19.0),
         "post-recovery write");
   std::printf("\npost-recovery append succeeded — back in business\n");
   std::system(("rm -rf " + std::string(tmpl)).c_str());

@@ -74,8 +74,8 @@ int main() {
     const graph::VertexId v = g->AddVertex(
         {"Station"}, {{"name", Value("S" + std::to_string(i))}});
     for (int h = 0; h < 48; ++h) {
-      (void)store.AppendVertexSample(v, "bikes", t0 + h * kHour,
-                                     10.0 + i * 5 + (h % 12));
+      (void)store.AppendSample({true, v, "bikes"}, t0 + h * kHour,
+                               10.0 + i * 5 + (h % 12));
     }
   }
   const std::string query =

@@ -54,6 +54,12 @@ them. The current rules (see DESIGN.md §12 "Static analysis"):
                   Socket/Listener wrappers own every fd, EINTR loop, and
                   SIGPIPE suppression exactly once. Annotate a genuine
                   exception with NOLINT(hygraph-raw-socket).
+  backend-subclass
+                  in src/, only storage/all_in_graph.h, storage/polyglot.h
+                  and storage/durable.h may derive from query::QueryBackend:
+                  one class per engine, whose published version is the same
+                  class bound to it (DESIGN.md §10), so each series
+                  operation is written once per engine.
   unranked-lock   every hygraph::Mutex / SharedMutex member declaration in
                   src/ must be constructed with a LockRank (on the
                   declaration, or where the member is initialized in the
@@ -98,6 +104,11 @@ RETRY_HOME = Path("src/storage/retry.cc")
 NET_FILES = (Path("src/server/net.h"), Path("src/server/net.cc"))
 # The one sanctioned home of raw file I/O: the POSIX Env.
 ENV_HOME = Path("src/storage/env.cc")
+# The engines' homes: the only src/ files whose classes implement
+# query::QueryBackend.
+BACKEND_HOMES = (Path("src/storage/all_in_graph.h"),
+                 Path("src/storage/polyglot.h"),
+                 Path("src/storage/durable.h"))
 
 RAW_SLEEP_ALLOW = "NOLINT(hygraph-raw-sleep)"
 RAW_THREAD_ALLOW = "NOLINT(hygraph-raw-thread)"
@@ -394,6 +405,28 @@ def check_raw_file_io(tree: Tree, report) -> None:
                        "behind storage::Env (storage/env.h), where faults "
                        "can be injected; annotate a genuine exception with "
                        f"{RAW_FILE_IO_ALLOW}")
+
+
+# A base-clause entry naming QueryBackend: `: public query::QueryBackend {`,
+# `, QueryBackend` (multiple bases) or the name ending the line.
+BACKEND_BASE_RE = re.compile(
+    r"[:,]\s*(?:(?:public|protected|private|virtual)\s+)*"
+    r"(?:(?:::\s*)?hygraph\s*::\s*)?(?:query\s*::\s*)?"
+    r"QueryBackend\s*(?:[{,]|$)")
+
+
+@rule("backend-subclass", "src/ outside storage/{all_in_graph,polyglot,durable}.h")
+def check_backend_subclass(tree: Tree, report) -> None:
+    for f in tree.files:
+        if f.rel.parts[0] != "src" or f.rel in BACKEND_HOMES:
+            continue
+        for lineno, code_line in enumerate(f.code, 1):
+            if BACKEND_BASE_RE.search(code_line) is not None:
+                report(f.rel, lineno, "backend-subclass",
+                       "only storage/all_in_graph.h, storage/polyglot.h and "
+                       "storage/durable.h may derive from query::QueryBackend:"
+                       " a published version is its engine's class bound to "
+                       "the version, not a second class")
 
 
 @rule("naked-new", "library code (src/, fuzz/)")

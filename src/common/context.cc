@@ -52,7 +52,11 @@ Status QueryContext::CheckNow() {
 
 Status QueryContext::ReserveMemory(uint64_t bytes) {
   if (governor_ == nullptr || bytes == 0) return Status::OK();
-  HYGRAPH_RETURN_IF_ERROR(governor_->Reserve(bytes));
+  Status reserve = governor_->Reserve(bytes);
+  if (!reserve.ok()) {
+    ++memory_denials_;
+    return reserve;
+  }
   reserved_bytes_ += bytes;
   return Status::OK();
 }

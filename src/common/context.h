@@ -97,6 +97,11 @@ class QueryContext {
 
   [[nodiscard]] uint64_t reserved_bytes() const { return reserved_bytes_; }
 
+  /// How many ReserveMemory calls the governor has refused. A caller tells
+  /// a refused reservation from a points-budget stop (both
+  /// kResourceExhausted) by whether this moved.
+  [[nodiscard]] uint64_t memory_denials() const { return memory_denials_; }
+
   /// Attaches the governor used by ReserveMemory. Null detaches (memory
   /// accounting becomes a no-op; already-held bytes are released first).
   void AttachGovernor(ResourceGovernor* governor);
@@ -129,6 +134,7 @@ class QueryContext {
   std::atomic<bool> cancelled_{false};
   ResourceGovernor* governor_ = nullptr;
   uint64_t reserved_bytes_ = 0;
+  uint64_t memory_denials_ = 0;
 };
 
 }  // namespace hygraph

@@ -7,13 +7,12 @@ namespace hygraph::query {
 
 QueryBackend::~QueryBackend() = default;
 
-std::string SeriesSlotName(bool vertex, uint64_t entity,
-                           const std::string& key) {
-  return (vertex ? "v" : "e") + std::to_string(entity) + "." + key;
+std::string SeriesSlotName(const SeriesSlot& slot) {
+  return (slot.vertex ? "v" : "e") + std::to_string(slot.entity) + "." +
+         slot.key;
 }
 
-bool ParseSeriesSlotName(const std::string& name, bool* vertex,
-                         uint64_t* entity, std::string* key) {
+bool ParseSeriesSlotName(const std::string& name, SeriesSlot* slot) {
   if (name.size() < 3 || (name[0] != 'v' && name[0] != 'e')) return false;
   const size_t dot = name.find('.');
   if (dot == std::string::npos || dot < 2 || dot + 1 >= name.size()) {
@@ -26,15 +25,13 @@ bool ParseSeriesSlotName(const std::string& name, bool* vertex,
     if (id > (UINT64_MAX - static_cast<uint64_t>(c - '0')) / 10) return false;
     id = id * 10 + static_cast<uint64_t>(c - '0');
   }
-  *vertex = name[0] == 'v';
-  *entity = id;
-  *key = name.substr(dot + 1);
+  slot->vertex = name[0] == 'v';
+  slot->entity = id;
+  slot->key = name.substr(dot + 1);
   return true;
 }
 
-Result<SeriesId> QueryBackend::EnsureSeries(bool /*vertex*/,
-                                            uint64_t /*entity*/,
-                                            const std::string& /*key*/) {
+Result<SeriesId> QueryBackend::EnsureSeries(const SeriesSlot& /*slot*/) {
   return Status::Unimplemented(name() + " does not bind catalogued series");
 }
 
@@ -50,111 +47,53 @@ Status QueryBackend::MutateTopology(
 Result<double> QueryBackend::CorrelateSeriesRange(
     const SeriesSlot& slot, const Interval& interval,
     const ts::Series& anchor) const {
-  auto range = slot.vertex
-                   ? VertexSeriesRange(slot.entity, slot.key, interval)
-                   : EdgeSeriesRange(slot.entity, slot.key, interval);
+  auto range = SeriesRange(slot, interval);
   if (!range.ok()) return range.status();
   return ts::Correlation(anchor, *range);
 }
 
-Result<double> QueryBackend::VertexSeriesAggregate(graph::VertexId v,
-                                                   const std::string& key,
-                                                   const Interval& interval,
-                                                   ts::AggKind kind) const {
-  auto series = VertexSeriesRange(v, key, interval);
+Result<double> QueryBackend::SeriesAggregate(const SeriesSlot& slot,
+                                             const Interval& interval,
+                                             ts::AggKind kind) const {
+  auto series = SeriesRange(slot, interval);
   if (!series.ok()) return series.status();
   return ts::Aggregate(*series, Interval::All(), kind);
 }
 
-Result<double> QueryBackend::EdgeSeriesAggregate(graph::EdgeId e,
-                                                 const std::string& key,
-                                                 const Interval& interval,
-                                                 ts::AggKind kind) const {
-  auto series = EdgeSeriesRange(e, key, interval);
-  if (!series.ok()) return series.status();
-  return ts::Aggregate(*series, Interval::All(), kind);
-}
-
-std::vector<Result<double>> QueryBackend::VertexSeriesAggregateBatch(
-    const std::vector<graph::VertexId>& vertices, const std::string& key,
-    const Interval& interval, ts::AggKind kind) const {
+std::vector<Result<double>> QueryBackend::SeriesAggregateBatch(
+    const std::vector<SeriesSlot>& slots, const Interval& interval,
+    ts::AggKind kind) const {
   std::vector<Result<double>> out;
-  out.reserve(vertices.size());
-  for (graph::VertexId v : vertices) {
-    out.push_back(VertexSeriesAggregate(v, key, interval, kind));
+  out.reserve(slots.size());
+  for (const SeriesSlot& slot : slots) {
+    out.push_back(SeriesAggregate(slot, interval, kind));
   }
   return out;
 }
 
-std::vector<Result<double>> QueryBackend::EdgeSeriesAggregateBatch(
-    const std::vector<graph::EdgeId>& edges, const std::string& key,
-    const Interval& interval, ts::AggKind kind) const {
-  std::vector<Result<double>> out;
-  out.reserve(edges.size());
-  for (graph::EdgeId e : edges) {
-    out.push_back(EdgeSeriesAggregate(e, key, interval, kind));
-  }
-  return out;
-}
-
-Result<ts::Series> QueryBackend::VertexSeriesWindowAggregate(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  auto series = VertexSeriesRange(v, key, interval);
+Result<ts::Series> QueryBackend::SeriesWindowAggregate(
+    const SeriesSlot& slot, const Interval& interval, Duration width,
+    ts::AggKind kind) const {
+  auto series = SeriesRange(slot, interval);
   if (!series.ok()) return series.status();
   return ts::WindowAggregate(*series, interval.Intersect(series->TimeSpan()),
                              width, kind);
 }
 
-Result<ts::Series> QueryBackend::EdgeSeriesWindowAggregate(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  auto series = EdgeSeriesRange(e, key, interval);
+Result<size_t> QueryBackend::SeriesCountInRange(const SeriesSlot& slot,
+                                                const Interval& interval,
+                                                double min_value,
+                                                double max_value) const {
+  auto series = SeriesRange(slot, interval);
   if (!series.ok()) return series.status();
-  return ts::WindowAggregate(*series, interval.Intersect(series->TimeSpan()),
-                             width, kind);
-}
-
-namespace {
-
-// Shares ScanPredicate's comparison semantics so every engine counts the
-// same samples (bounded predicates never select NaN).
-size_t CountInRange(const ts::Series& series, double min_value,
-                    double max_value) {
+  // ScanPredicate's comparison semantics, so every engine counts the same
+  // samples (bounded predicates never select NaN).
   const ts::ScanPredicate predicate{min_value, max_value};
   size_t n = 0;
-  for (const ts::Sample& s : series.samples()) {
+  for (const ts::Sample& s : series->samples()) {
     if (predicate.Matches(s.value)) ++n;
   }
   return n;
-}
-
-}  // namespace
-
-Result<size_t> QueryBackend::VertexSeriesCountInRange(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    double min_value, double max_value) const {
-  auto series = VertexSeriesRange(v, key, interval);
-  if (!series.ok()) return series.status();
-  return CountInRange(*series, min_value, max_value);
-}
-
-Result<size_t> QueryBackend::EdgeSeriesCountInRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    double min_value, double max_value) const {
-  auto series = EdgeSeriesRange(e, key, interval);
-  if (!series.ok()) return series.status();
-  return CountInRange(*series, min_value, max_value);
-}
-
-std::vector<std::string> QueryBackend::VertexSeriesKeys(
-    graph::VertexId /*v*/) const {
-  return {};
-}
-
-std::vector<std::string> QueryBackend::EdgeSeriesKeys(
-    graph::EdgeId /*e*/) const {
-  return {};
 }
 
 }  // namespace hygraph::query

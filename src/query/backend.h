@@ -49,24 +49,32 @@ struct BackendWork {
 };
 
 /// One series of one entity: vertex or edge `entity`'s series under `key`
-/// (the triple SeriesSlotName encodes).
+/// (the triple SeriesSlotName encodes). Every series operation of a
+/// backend is keyed by one, so vertices and edges share one code path.
 struct SeriesSlot {
   bool vertex = true;
   uint64_t entity = 0;
   std::string key;
+
+  bool operator==(const SeriesSlot&) const = default;
+  /// Vertices first, then entity id, then key: the order SeriesSlots()
+  /// returns.
+  bool operator<(const SeriesSlot& other) const {
+    if (vertex != other.vertex) return vertex;
+    if (entity != other.entity) return entity < other.entity;
+    return key < other.key;
+  }
 };
 
-/// The canonical hypertable series name for (entity, key): "v12.temp" for
-/// vertex 12's "temp", "e3.load" for edge 3's. This is the contract between
-/// the polyglot backend (which names series this way) and the cold-tier
+/// The canonical hypertable series name of a slot: "v12.temp" for vertex
+/// 12's "temp", "e3.load" for edge 3's. This is the contract between the
+/// polyglot backend (which names series this way) and the cold-tier
 /// catalog (which persists series by name and must map them back to
 /// entities on recovery).
-std::string SeriesSlotName(bool vertex, uint64_t entity,
-                           const std::string& key);
+std::string SeriesSlotName(const SeriesSlot& slot);
 /// Inverse of SeriesSlotName. False when `name` is not of that shape (the
 /// key may itself contain dots; the split is at the FIRST dot).
-bool ParseSeriesSlotName(const std::string& name, bool* vertex,
-                         uint64_t* entity, std::string* key);
+bool ParseSeriesSlotName(const std::string& name, SeriesSlot* slot);
 
 /// The storage abstraction HGQL executes against. Both architectures of
 /// Figure 1 implement it:
@@ -74,13 +82,12 @@ bool ParseSeriesSlotName(const std::string& name, bool* vertex,
 ///   * AllInGraphStore (red path)  — series samples live inside the graph's
 ///     property maps; every series operation degenerates to a property scan.
 ///   * PolyglotStore   (green path) — series live in a chunked hypertable
-///     keyed by (entity, property); series operations prune to chunks.
+///     keyed by series slot; series operations prune to chunks.
 ///
 /// The interface is deliberately narrow: topology for structural matching,
-/// plus range-scan and range-aggregate on a named series of a vertex or
-/// edge. The executor never sees which architecture it runs on — that is
-/// the paper's "users interact with hybrid data as if stored in a single
-/// system".
+/// plus range-scan and range-aggregate on a series slot. The executor
+/// never sees which architecture it runs on — that is the paper's "users
+/// interact with hybrid data as if stored in a single system".
 class QueryBackend {
  public:
   virtual ~QueryBackend();
@@ -109,17 +116,14 @@ class QueryBackend {
   // -- ingestion --------------------------------------------------------------
 
   /// Mutable access to the structural graph for loading vertices, edges,
-  /// labels, and static properties. Series samples must go through the
-  /// Append*Sample methods so each engine stores them its own way.
+  /// labels, and static properties. Series samples must go through
+  /// AppendSample so each engine stores them its own way.
   virtual graph::PropertyGraph* mutable_topology() = 0;
 
-  /// Appends one sample to the series stored under (vertex, key).
-  /// Creates the series on first use.
-  virtual Status AppendVertexSample(graph::VertexId v, const std::string& key,
-                                    Timestamp t, double value) = 0;
-  /// Appends one sample to the series stored under (edge, key).
-  virtual Status AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                                  Timestamp t, double value) = 0;
+  /// Appends one sample to the series stored under `slot`. Creates the
+  /// series on first use.
+  virtual Status AppendSample(const SeriesSlot& slot, Timestamp t,
+                              double value) = 0;
 
   /// Runs `fn` on the mutable topology under the backend's write guard,
   /// performing any copy-on-write detach first so pinned snapshots keep
@@ -138,24 +142,19 @@ class QueryBackend {
   /// snapshot must not outlive the origin backend (it shares the origin's
   /// metrics registry, so Work()/PROFILE attribution keeps working).
   /// Returns nullptr when the backend has no snapshot support (the
-  /// default) — callers then evaluate against the live backend.
+  /// default) or is itself such a view — callers then read it directly.
   virtual std::shared_ptr<const QueryBackend> BeginSnapshot() const {
     return nullptr;
   }
 
   // -- introspection (durability / snapshotting) ----------------------------
 
-  /// The series keys stored on a vertex / edge, sorted. Backends must
-  /// implement these so a snapshotter can enumerate state it would
-  /// otherwise not know exists; the defaults return nothing.
-  virtual std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const;
-  virtual std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const;
-
-  /// True when series samples physically live inside the topology's
-  /// property maps (the all-in-graph layout): persisting the topology then
-  /// already persists every sample, and a snapshotter must not duplicate
-  /// them as separate series records.
-  virtual bool SeriesEmbeddedInTopology() const { return false; }
+  /// Every series stored outside the topology, sorted (SeriesSlot's
+  /// order), so a snapshotter can enumerate state it would otherwise not
+  /// know exists. The default returns none: right for a backend whose
+  /// samples live in the topology's property maps (all-in-graph), where
+  /// persisting the topology already persists every sample.
+  virtual std::vector<SeriesSlot> SeriesSlots() const { return {}; }
 
   /// The chunked hypertable holding this backend's series, or nullptr when
   /// series are not chunk-organized (the default; true for all-in-graph).
@@ -163,87 +162,86 @@ class QueryBackend {
   /// chunks cold at checkpoint and adopting catalogued chunks on recovery.
   virtual ts::HypertableStore* series_hypertable() { return nullptr; }
 
-  /// Resolves (or creates empty) the series stored under the entity slot,
-  /// returning its hypertable id. Recovery uses this to re-bind catalogued
-  /// cold chunks to their (entity, key) before WAL replay. Unimplemented
-  /// by default — only meaningful for backends with a series_hypertable().
-  virtual Result<SeriesId> EnsureSeries(bool vertex, uint64_t entity,
-                                        const std::string& key);
+  /// Resolves (or creates empty) the series stored under `slot`, returning
+  /// its hypertable id. Recovery uses this to re-bind catalogued cold
+  /// chunks to their slot before WAL replay. Unimplemented by default —
+  /// only meaningful for backends with a series_hypertable().
+  virtual Result<SeriesId> EnsureSeries(const SeriesSlot& slot);
 
   // -- series access ------------------------------------------------------------
 
-  /// Materializes the samples of (vertex, key) inside `interval`.
-  virtual Result<ts::Series> VertexSeriesRange(
-      graph::VertexId v, const std::string& key,
-      const Interval& interval) const = 0;
-  virtual Result<ts::Series> EdgeSeriesRange(
-      graph::EdgeId e, const std::string& key,
-      const Interval& interval) const = 0;
+  /// Materializes the samples of `slot` inside `interval`.
+  virtual Result<ts::Series> SeriesRange(const SeriesSlot& slot,
+                                         const Interval& interval) const = 0;
 
   /// Pearson correlation of `slot`'s samples inside `interval` against
   /// `anchor`, aligned on common timestamps: bit for bit what
   /// ts::Correlation(anchor, range) returns for the materialized range,
   /// including FailedPrecondition when fewer than two samples align (which
   /// HGQL's ts_corr reads as null). The default materializes the range
-  /// through Vertex/EdgeSeriesRange; the hypertable engines stream the
-  /// slot's chunks against the anchor instead.
+  /// through SeriesRange; the hypertable engines stream the slot's chunks
+  /// against the anchor instead.
   virtual Result<double> CorrelateSeriesRange(const SeriesSlot& slot,
                                               const Interval& interval,
                                               const ts::Series& anchor) const;
 
-  /// Range aggregate over (vertex, key). The default implementation
-  /// materializes the range and folds it; engines with native aggregation
-  /// (the hypertable) override this.
-  virtual Result<double> VertexSeriesAggregate(graph::VertexId v,
-                                               const std::string& key,
-                                               const Interval& interval,
-                                               ts::AggKind kind) const;
-  virtual Result<double> EdgeSeriesAggregate(graph::EdgeId e,
-                                             const std::string& key,
-                                             const Interval& interval,
-                                             ts::AggKind kind) const;
+  /// Range aggregate over `slot`. The default implementation materializes
+  /// the range and folds it; engines with native aggregation (the
+  /// hypertable) override this.
+  virtual Result<double> SeriesAggregate(const SeriesSlot& slot,
+                                         const Interval& interval,
+                                         ts::AggKind kind) const;
 
-  /// Batch range aggregate: one result per entity, all over the same
-  /// (key, interval, kind). Multi-entity HGQL aggregate queries funnel
-  /// through here, so an engine can resolve every entity's series in one
-  /// pass (the hypertable then aggregates them one after another on the
-  /// calling thread). Per-entity failures are reported in that entity's
-  /// slot; the call itself only fails on batch-wide conditions
-  /// (cancellation, deadline, budget). The default loops over the
-  /// single-entity virtuals.
-  virtual std::vector<Result<double>> VertexSeriesAggregateBatch(
-      const std::vector<graph::VertexId>& vertices, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const;
-  virtual std::vector<Result<double>> EdgeSeriesAggregateBatch(
-      const std::vector<graph::EdgeId>& edges, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const;
+  /// Batch range aggregate: one result per slot, all over the same
+  /// (interval, kind); slots may mix vertices and edges. Multi-entity HGQL
+  /// aggregate queries funnel through here, so an engine can resolve every
+  /// slot's series in one pass (the hypertable then aggregates them one
+  /// after another on the calling thread). Per-slot failures are reported
+  /// in that slot's result; the call itself only fails on batch-wide
+  /// conditions (cancellation, deadline, budget). The default loops over
+  /// SeriesAggregate.
+  virtual std::vector<Result<double>> SeriesAggregateBatch(
+      const std::vector<SeriesSlot>& slots, const Interval& interval,
+      ts::AggKind kind) const;
 
-  /// Tumbling-window aggregate series over (vertex, key): one sample per
+  /// Tumbling-window aggregate series over `slot`: one sample per
   /// non-empty window of `width` ms. Default materializes then windows;
   /// the hypertable overrides with its native single-pass time_bucket.
-  virtual Result<ts::Series> VertexSeriesWindowAggregate(
-      graph::VertexId v, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const;
-  virtual Result<ts::Series> EdgeSeriesWindowAggregate(
-      graph::EdgeId e, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const;
+  virtual Result<ts::Series> SeriesWindowAggregate(const SeriesSlot& slot,
+                                                   const Interval& interval,
+                                                   Duration width,
+                                                   ts::AggKind kind) const;
 
-  /// Number of samples of (vertex, key) inside `interval` whose value lies
-  /// in [min_value, max_value] — the pushed-down series-predicate primitive
+  /// Number of samples of `slot` inside `interval` whose value lies in
+  /// [min_value, max_value] — the pushed-down series-predicate primitive
   /// behind HGQL's ts_count_between (the Q8 query shape). The default
   /// materializes the range and counts; the hypertable overrides with
   /// zone-map-assisted counting that can skip or count whole compressed
   /// chunks without decoding them.
-  virtual Result<size_t> VertexSeriesCountInRange(graph::VertexId v,
-                                                  const std::string& key,
-                                                  const Interval& interval,
-                                                  double min_value,
-                                                  double max_value) const;
-  virtual Result<size_t> EdgeSeriesCountInRange(graph::EdgeId e,
-                                                const std::string& key,
-                                                const Interval& interval,
-                                                double min_value,
-                                                double max_value) const;
+  virtual Result<size_t> SeriesCountInRange(const SeriesSlot& slot,
+                                            const Interval& interval,
+                                            double min_value,
+                                            double max_value) const;
+
+  // -- vertex-keyed forwarders ------------------------------------------------
+  // Kept only for perfbench/, which calls exactly these three; the next
+  // benchmark change moves it to slot calls and deletes them.
+
+  Status AppendVertexSample(graph::VertexId v, const std::string& key,
+                            Timestamp t, double value) {
+    return AppendSample(SeriesSlot{true, v, key}, t, value);
+  }
+  Result<double> VertexSeriesAggregate(graph::VertexId v,
+                                       const std::string& key,
+                                       const Interval& interval,
+                                       ts::AggKind kind) const {
+    return SeriesAggregate(SeriesSlot{true, v, key}, interval, kind);
+  }
+  Result<ts::Series> VertexSeriesRange(graph::VertexId v,
+                                       const std::string& key,
+                                       const Interval& interval) const {
+    return SeriesRange(SeriesSlot{true, v, key}, interval);
+  }
 };
 
 }  // namespace hygraph::query

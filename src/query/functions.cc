@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/context.h"
 #include "common/stats.h"
 #include "common/strings.h"
 #include "graph/pattern.h"
@@ -207,7 +208,25 @@ std::shared_ptr<const ts::Series> Evaluator::FindRange(
     const SeriesSlot& slot, const Interval& interval) const {
   auto hit = range_cache_.find(RangeKey{slot.vertex, slot.entity, slot.key,
                                         interval.start, interval.end});
-  return hit == range_cache_.end() ? nullptr : hit->second;
+  return hit == range_cache_.end() ? nullptr : hit->second.series;
+}
+
+uint64_t Evaluator::DropRanges() const {
+  // A range a caller still holds (ts_corr's first side while the second
+  // is read) stays memoized, and so stays counted against the statement.
+  uint64_t released = 0;
+  for (auto it = range_cache_.begin(); it != range_cache_.end();) {
+    if (it->second.series.use_count() > 1) {
+      ++it;
+      continue;
+    }
+    released += it->second.bytes;
+    it = range_cache_.erase(it);
+  }
+  if (QueryContext* ctx = QueryContext::Current()) {
+    ctx->ReleaseMemory(released);
+  }
+  return released;
 }
 
 Result<std::shared_ptr<const ts::Series>> Evaluator::SeriesRange(
@@ -217,18 +236,29 @@ Result<std::shared_ptr<const ts::Series>> Evaluator::SeriesRange(
     return hit;
   }
   ++memo_stats_.misses;
-  auto series = slot.vertex
-                    ? backend_->VertexSeriesRange(slot.entity, slot.key,
-                                                  interval)
-                    : backend_->EdgeSeriesRange(slot.entity, slot.key,
-                                                interval);
+  // A read reserves its range's bytes against the statement; the memo
+  // holds them for as long as it holds the range.
+  QueryContext* ctx = QueryContext::Current();
+  auto reserved = [ctx] { return ctx != nullptr ? ctx->reserved_bytes() : 0; };
+  auto denials = [ctx] { return ctx != nullptr ? ctx->memory_denials() : 0; };
+  uint64_t before = reserved();
+  const uint64_t denied_before = denials();
+  auto series = backend_->SeriesRange(slot, interval);
+  if (!series.ok() && denials() != denied_before && DropRanges() > 0) {
+    // The governor refused the read its memory, and the memo gave back
+    // what its ranges held: the read is tried once more.
+    before = reserved();
+    series = backend_->SeriesRange(slot, interval);
+  }
   if (!series.ok()) return series.status();
-  auto shared = std::make_shared<const ts::Series>(std::move(*series));
+  // This read's bytes, measured before a clear below releases others.
+  const uint64_t bytes = reserved() - before;
   constexpr size_t kRangeCacheCap = 64;
-  if (range_cache_.size() >= kRangeCacheCap) range_cache_.clear();
+  if (range_cache_.size() >= kRangeCacheCap) DropRanges();
+  auto shared = std::make_shared<const ts::Series>(std::move(*series));
   range_cache_.emplace(RangeKey{slot.vertex, slot.entity, slot.key,
                                 interval.start, interval.end},
-                       shared);
+                       MemoRange{shared, bytes});
   return shared;
 }
 
@@ -275,11 +305,7 @@ Result<double> Evaluator::SeriesAggregateArg(const Expr& prop_ref,
     return hit->second;
   }
   ++memo_stats_.misses;
-  auto result = slot->vertex
-                    ? backend_->VertexSeriesAggregate(slot->entity, slot->key,
-                                                      interval, kind)
-                    : backend_->EdgeSeriesAggregate(slot->entity, slot->key,
-                                                    interval, kind);
+  auto result = backend_->SeriesAggregate(*slot, interval, kind);
   // A prefetched batch holds one entry per matched entity, so the cap is
   // sized for multi-entity scans rather than the range memo's 64.
   constexpr size_t kAggCacheCap = 4096;
@@ -292,31 +318,23 @@ void Evaluator::PrefetchAggregates(const std::vector<Binding>& entities,
                                    const std::string& key,
                                    const Interval& interval,
                                    ts::AggKind kind) const {
-  std::vector<uint64_t> vertices;
-  std::vector<uint64_t> edges;
+  std::vector<SeriesSlot> slots;
   for (const Binding& b : entities) {
     const AggKey cache_key{b.is_edge,     b.id,         key,
                            interval.start, interval.end, static_cast<int>(kind)};
     if (agg_cache_.find(cache_key) != agg_cache_.end()) continue;
-    (b.is_edge ? edges : vertices).push_back(b.id);
+    slots.push_back(SeriesSlot{!b.is_edge, b.id, key});
   }
-  auto seed = [&](bool is_edge, std::vector<uint64_t>* ids) {
-    std::sort(ids->begin(), ids->end());
-    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-    if (ids->empty()) return;
-    auto results = is_edge
-                       ? backend_->EdgeSeriesAggregateBatch(*ids, key,
-                                                            interval, kind)
-                       : backend_->VertexSeriesAggregateBatch(*ids, key,
-                                                              interval, kind);
-    for (size_t i = 0; i < ids->size() && i < results.size(); ++i) {
-      agg_cache_.emplace(AggKey{is_edge, (*ids)[i], key, interval.start,
-                                interval.end, static_cast<int>(kind)},
-                         std::move(results[i]));
-    }
-  };
-  seed(false, &vertices);
-  seed(true, &edges);
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  if (slots.empty()) return;
+  auto results = backend_->SeriesAggregateBatch(slots, interval, kind);
+  for (size_t i = 0; i < slots.size() && i < results.size(); ++i) {
+    agg_cache_.emplace(AggKey{!slots[i].vertex, slots[i].entity, key,
+                              interval.start, interval.end,
+                              static_cast<int>(kind)},
+                       std::move(results[i]));
+  }
 }
 
 void CollectAggregateCallSites(const Expr& expr,
@@ -410,22 +428,9 @@ Result<Value> Evaluator::EvalCall(
     if (!lod.ok()) return lod.status();
     auto hid = hi->ToDouble();
     if (!hid.ok()) return hid.status();
-    const Expr& prop_ref = *expr.args[0];
-    if (prop_ref.kind != Expr::Kind::kPropertyRef) {
-      return Status::InvalidArgument(
-          "ts_count_between takes a property reference (var.key) as the "
-          "series argument");
-    }
-    auto bound = bindings.find(prop_ref.var);
-    if (bound == bindings.end()) {
-      return Status::InvalidArgument("unbound variable '" + prop_ref.var +
-                                     "'");
-    }
-    auto n = bound->second.is_edge
-                 ? backend_->EdgeSeriesCountInRange(
-                       bound->second.id, prop_ref.key, *interval, *lod, *hid)
-                 : backend_->VertexSeriesCountInRange(
-                       bound->second.id, prop_ref.key, *interval, *lod, *hid);
+    auto slot = SlotArg(*expr.args[0], bindings);
+    if (!slot.ok()) return slot.status();
+    auto n = backend_->SeriesCountInRange(*slot, *interval, *lod, *hid);
     if (!n.ok()) {
       // Missing series counts like an empty one, matching ts_count.
       if (n.status().code() == StatusCode::kNotFound) return Value(int64_t{0});
@@ -456,25 +461,10 @@ Result<Value> Evaluator::EvalCall(
     if (!outer_kind.ok()) return outer_kind.status();
     // Windowing goes through the backend so engines with native
     // time_bucket support (the hypertable) skip materialization.
-    const Expr& prop_ref = *expr.args[0];
-    if (prop_ref.kind != Expr::Kind::kPropertyRef) {
-      return Status::InvalidArgument(
-          "ts_window_agg takes a property reference (var.key) as the "
-          "series argument");
-    }
-    auto bound = bindings.find(prop_ref.var);
-    if (bound == bindings.end()) {
-      return Status::InvalidArgument("unbound variable '" + prop_ref.var +
-                                     "'");
-    }
-    auto windowed =
-        bound->second.is_edge
-            ? backend_->EdgeSeriesWindowAggregate(
-                  bound->second.id, prop_ref.key, *interval,
-                  static_cast<Duration>(*wd), *inner_kind)
-            : backend_->VertexSeriesWindowAggregate(
-                  bound->second.id, prop_ref.key, *interval,
-                  static_cast<Duration>(*wd), *inner_kind);
+    auto slot = SlotArg(*expr.args[0], bindings);
+    if (!slot.ok()) return slot.status();
+    auto windowed = backend_->SeriesWindowAggregate(
+        *slot, *interval, static_cast<Duration>(*wd), *inner_kind);
     if (!windowed.ok()) return windowed.status();
     auto reduced = ts::Aggregate(*windowed, Interval::All(), *outer_kind);
     if (!reduced.ok()) return Value();

@@ -95,12 +95,17 @@ class Evaluator {
                              const Bindings& bindings) const;
   /// `slot`'s range inside `interval`: the memoized series, or the
   /// backend's range, which is memoized first. Shared with the memo, so
-  /// it stays valid when the memo is cleared.
+  /// it stays valid when the memo is cleared. A read whose memory
+  /// reservation the governor refuses drops the memo and, if that freed
+  /// memory, is tried once more.
   Result<std::shared_ptr<const ts::Series>> SeriesRange(
       const SeriesSlot& slot, const Interval& interval) const;
   Result<std::shared_ptr<const ts::Series>> SeriesRangeArg(
       const Expr& prop_ref, const Bindings& bindings,
       const Interval& interval) const;
+  /// Clears the range memo, except the ranges a caller still holds, and
+  /// releases the bytes the dropped ranges reserved; returns that count.
+  uint64_t DropRanges() const;
   /// The memoized range, or null; counts nothing.
   std::shared_ptr<const ts::Series> FindRange(const SeriesSlot& slot,
                                               const Interval& interval) const;
@@ -117,10 +122,17 @@ class Evaluator {
   /// Evaluator lives for one ExecutePlan, where repeated ts_* calls on the
   /// same (entity, key, range) are common — e.g. a correlation query pins
   /// one entity and re-reads its range on every row. Bounded: overflow
-  /// clears the whole cache rather than evicting.
+  /// clears the cache (all but the ranges a caller holds) rather than
+  /// evicting.
   using RangeKey =
       std::tuple<bool, uint64_t, std::string, Timestamp, Timestamp>;
-  mutable std::map<RangeKey, std::shared_ptr<const ts::Series>> range_cache_;
+  /// A memoized range and the bytes its read reserved against the
+  /// statement's QueryContext; DropRanges returns them.
+  struct MemoRange {
+    std::shared_ptr<const ts::Series> series;
+    uint64_t bytes = 0;
+  };
+  mutable std::map<RangeKey, MemoRange> range_cache_;
 
   /// Memo for SeriesAggregateArg, keyed (is_edge, id, key, start, end,
   /// kind). Seeded in bulk by PrefetchAggregates; also fills lazily so a

@@ -411,13 +411,9 @@ WireResponse HgqlServer::HandleAppend(Session& session,
   }
   const auto apply = [this, &req]() -> Status {
     for (const SampleUpdate& s : req.samples) {
-      if (s.kind == SampleUpdate::kVertex) {
-        HYGRAPH_RETURN_IF_ERROR(
-            durable_->AppendVertexSample(s.id, s.key, s.timestamp, s.value));
-      } else {
-        HYGRAPH_RETURN_IF_ERROR(
-            durable_->AppendEdgeSample(s.id, s.key, s.timestamp, s.value));
-      }
+      HYGRAPH_RETURN_IF_ERROR(durable_->AppendSample(
+          query::SeriesSlot{s.kind == SampleUpdate::kVertex, s.id, s.key},
+          s.timestamp, s.value));
     }
     return Status::OK();
   };

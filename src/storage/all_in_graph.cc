@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "common/context.h"
@@ -19,9 +18,7 @@ constexpr size_t kTimestampDigits = 20;
 
 // The generic-property-store access path: enumerate every property of the
 // entity, match the prefix textually, parse the timestamp, filter. No
-// index, no ordering assumption — this is what Table 1 measures. Free
-// function so the live store and pinned snapshots share one definition;
-// work attributes to whichever counters the caller resolves.
+// index, no ordering assumption — this is what Table 1 measures.
 Result<ts::Series> ScanSampleProperties(const graph::PropertyMap& props,
                                         const std::string& key,
                                         const Interval& interval,
@@ -56,120 +53,51 @@ Result<ts::Series> ScanSampleProperties(const graph::PropertyMap& props,
   return out;
 }
 
-// Extracts the distinct series keys embedded in sample property names:
-// "__ts__<key>__<20 digits>" → <key>. Keys containing "__<digit>" can make
-// different keys' samples interleave in the sorted map, so dedup goes
-// through a set rather than relying on adjacency.
-std::vector<std::string> ScanSeriesKeys(const graph::PropertyMap& props) {
-  std::set<std::string> keys;
-  const size_t prefix_len = sizeof(kPrefix) - 1;
-  for (const auto& [property_key, value] : props) {
-    (void)value;
-    if (property_key.size() < prefix_len + 2 + kTimestampDigits) continue;
-    if (property_key.compare(0, prefix_len, kPrefix) != 0) continue;
-    const size_t key_end = property_key.size() - kTimestampDigits - 2;
-    if (property_key.compare(key_end, 2, "__") != 0) continue;
-    std::string key = property_key.substr(prefix_len, key_end - prefix_len);
-    Timestamp t = 0;
-    if (!AllInGraphStore::DecodeSampleKey(property_key, key, &t)) continue;
-    keys.insert(std::move(key));
-  }
-  return std::vector<std::string>(keys.begin(), keys.end());
-}
-
-std::vector<std::string> SeriesKeysOfVertex(const graph::PropertyGraph& g,
-                                            graph::VertexId v) {
-  auto vertex = g.GetVertex(v);
-  if (!vertex.ok()) return {};
-  return ScanSeriesKeys((*vertex)->properties);
-}
-
-std::vector<std::string> SeriesKeysOfEdge(const graph::PropertyGraph& g,
-                                          graph::EdgeId e) {
-  auto edge = g.GetEdge(e);
-  if (!edge.ok()) return {};
-  return ScanSeriesKeys((*edge)->properties);
-}
-
-/// A pinned read view: holds the graph alive by refcount and answers every
-/// read from it, byte-identical no matter what the origin store does
-/// concurrently. Work still attributes to the origin's registry so
-/// PROFILE's before/after differencing keeps working across a snapshot.
-class AllInGraphSnapshot final : public query::QueryBackend {
- public:
-  AllInGraphSnapshot(std::shared_ptr<const graph::PropertyGraph> graph,
-                     obs::MetricsRegistry* metrics,
-                     obs::Counter* properties_scanned,
-                     obs::Counter* samples_parsed)
-      : graph_(std::move(graph)),
-        metrics_(metrics),
-        properties_scanned_(properties_scanned),
-        samples_parsed_(samples_parsed) {}
-
-  std::string name() const override { return "all-in-graph"; }
-  const graph::PropertyGraph& topology() const override { return *graph_; }
-  graph::PropertyGraph* mutable_topology() override { return nullptr; }
-
-  obs::MetricsRegistry* metrics() const override { return metrics_; }
-  query::BackendWork Work() const override {
-    query::BackendWork w;
-    w.properties_scanned = properties_scanned_->value();
-    w.series_points_scanned = samples_parsed_->value();
-    return w;
-  }
-
-  Status AppendVertexSample(graph::VertexId, const std::string&, Timestamp,
-                            double) override {
-    return Status::FailedPrecondition("snapshot is read-only");
-  }
-  Status AppendEdgeSample(graph::EdgeId, const std::string&, Timestamp,
-                          double) override {
-    return Status::FailedPrecondition("snapshot is read-only");
-  }
-
-  Result<ts::Series> VertexSeriesRange(
-      graph::VertexId v, const std::string& key,
-      const Interval& interval) const override {
-    auto vertex = graph_->GetVertex(v);
+// The slot's entity's property map, where its samples live.
+Result<const graph::PropertyMap*> PropertiesOf(const graph::PropertyGraph& g,
+                                               const query::SeriesSlot& slot) {
+  if (slot.vertex) {
+    auto vertex = g.GetVertex(slot.entity);
     if (!vertex.ok()) return vertex.status();
-    return ScanSampleProperties((*vertex)->properties, key, interval,
-                                properties_scanned_, samples_parsed_);
+    return &(*vertex)->properties;
   }
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override {
-    auto edge = graph_->GetEdge(e);
-    if (!edge.ok()) return edge.status();
-    return ScanSampleProperties((*edge)->properties, key, interval,
-                                properties_scanned_, samples_parsed_);
-  }
+  auto edge = g.GetEdge(slot.entity);
+  if (!edge.ok()) return edge.status();
+  return &(*edge)->properties;
+}
 
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override {
-    return SeriesKeysOfVertex(*graph_, v);
-  }
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override {
-    return SeriesKeysOfEdge(*graph_, e);
-  }
-
-  bool SeriesEmbeddedInTopology() const override { return true; }
-
- private:
-  std::shared_ptr<const graph::PropertyGraph> graph_;
-  obs::MetricsRegistry* metrics_;
-  obs::Counter* properties_scanned_;
-  obs::Counter* samples_parsed_;
-};
+Status ReadOnly() {
+  return Status::FailedPrecondition("snapshot is read-only");
+}
 
 }  // namespace
 
 AllInGraphStore::AllInGraphStore()
-    : metrics_(std::make_unique<obs::MetricsRegistry>()),
+    : owned_metrics_(std::make_unique<obs::MetricsRegistry>()),
+      metrics_(owned_metrics_.get()),
       properties_scanned_(metrics_->counter("allingraph.properties_scanned")),
       samples_parsed_(metrics_->counter("allingraph.samples_parsed")),
       snapshot_pins_(metrics_->counter("concurrency.snapshot_pins")),
       topology_cow_copies_(
           metrics_->counter("concurrency.topology_cow_copies")),
-      sync_(SyncInstruments::ForRegistry(metrics_.get())),
+      sync_(SyncInstruments::ForRegistry(metrics_)),
       topo_mu_(std::make_unique<SharedMutex>(LockRank::kStoreCoarse, sync_)) {}
+
+AllInGraphStore::AllInGraphStore(
+    VersionTag, const AllInGraphStore& origin,
+    std::shared_ptr<const graph::PropertyGraph> graph)
+    : version_(std::move(graph)),
+      graph_(nullptr),
+      metrics_(origin.metrics_),
+      properties_scanned_(origin.properties_scanned_),
+      samples_parsed_(origin.samples_parsed_) {}
+
+template <typename Fn>
+decltype(auto) AllInGraphStore::Read(Fn&& fn) const {
+  if (version_ != nullptr) return fn(*version_);
+  SharedLock lock(*topo_mu_);
+  return fn(*graph_);
+}
 
 query::BackendWork AllInGraphStore::Work() const {
   query::BackendWork w;
@@ -179,8 +107,10 @@ query::BackendWork AllInGraphStore::Work() const {
 }
 
 const graph::PropertyGraph& AllInGraphStore::topology() const {
-  SharedLock lock(*topo_mu_);
-  return *graph_;  // reference outlives the guard; see header contract
+  // The reference outlives the guard; see the header contract.
+  return Read([](const graph::PropertyGraph& g) -> const graph::PropertyGraph& {
+    return g;
+  });
 }
 
 graph::PropertyGraph* AllInGraphStore::Detach() {
@@ -188,23 +118,25 @@ graph::PropertyGraph* AllInGraphStore::Detach() {
 }
 
 graph::PropertyGraph* AllInGraphStore::mutable_topology() {
+  if (version_ != nullptr) return nullptr;
   ExclusiveLock lock(*topo_mu_);
   return Detach();
 }
 
 Status AllInGraphStore::MutateTopology(
     const std::function<Status(graph::PropertyGraph*)>& fn) {
+  if (version_ != nullptr) return ReadOnly();
   ExclusiveLock lock(*topo_mu_);
   return fn(Detach());
 }
 
 std::shared_ptr<const query::QueryBackend> AllInGraphStore::BeginSnapshot()
     const {
+  if (version_ != nullptr) return nullptr;
   SharedLock lock(*topo_mu_);
   snapshot_pins_->Increment();
-  return std::make_shared<AllInGraphSnapshot>(graph_.Pin(), metrics_.get(),
-                                              properties_scanned_,
-                                              samples_parsed_);
+  return std::make_shared<const AllInGraphStore>(VersionTag{}, *this,
+                                                 graph_.Pin());
 }
 
 std::string AllInGraphStore::EncodeSampleKey(const std::string& key,
@@ -231,49 +163,24 @@ bool AllInGraphStore::DecodeSampleKey(const std::string& property_key,
   return true;
 }
 
-Status AllInGraphStore::AppendVertexSample(graph::VertexId v,
-                                           const std::string& key,
-                                           Timestamp t, double value) {
+Status AllInGraphStore::AppendSample(const query::SeriesSlot& slot,
+                                     Timestamp t, double value) {
+  if (version_ != nullptr) return ReadOnly();
   ExclusiveLock lock(*topo_mu_);
-  return Detach()->SetVertexProperty(v, EncodeSampleKey(key, t), Value(value));
+  graph::PropertyGraph* g = Detach();
+  const std::string property = EncodeSampleKey(slot.key, t);
+  return slot.vertex ? g->SetVertexProperty(slot.entity, property, Value(value))
+                     : g->SetEdgeProperty(slot.entity, property, Value(value));
 }
 
-Status AllInGraphStore::AppendEdgeSample(graph::EdgeId e,
-                                         const std::string& key, Timestamp t,
-                                         double value) {
-  ExclusiveLock lock(*topo_mu_);
-  return Detach()->SetEdgeProperty(e, EncodeSampleKey(key, t), Value(value));
-}
-
-std::vector<std::string> AllInGraphStore::VertexSeriesKeys(
-    graph::VertexId v) const {
-  SharedLock lock(*topo_mu_);
-  return SeriesKeysOfVertex(*graph_, v);
-}
-
-std::vector<std::string> AllInGraphStore::EdgeSeriesKeys(
-    graph::EdgeId e) const {
-  SharedLock lock(*topo_mu_);
-  return SeriesKeysOfEdge(*graph_, e);
-}
-
-Result<ts::Series> AllInGraphStore::VertexSeriesRange(
-    graph::VertexId v, const std::string& key,
-    const Interval& interval) const {
-  SharedLock lock(*topo_mu_);
-  auto vertex = graph_->GetVertex(v);
-  if (!vertex.ok()) return vertex.status();
-  return ScanSampleProperties((*vertex)->properties, key, interval,
-                              properties_scanned_, samples_parsed_);
-}
-
-Result<ts::Series> AllInGraphStore::EdgeSeriesRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval) const {
-  SharedLock lock(*topo_mu_);
-  auto edge = graph_->GetEdge(e);
-  if (!edge.ok()) return edge.status();
-  return ScanSampleProperties((*edge)->properties, key, interval,
-                              properties_scanned_, samples_parsed_);
+Result<ts::Series> AllInGraphStore::SeriesRange(
+    const query::SeriesSlot& slot, const Interval& interval) const {
+  return Read([&](const graph::PropertyGraph& g) -> Result<ts::Series> {
+    auto props = PropertiesOf(g, slot);
+    if (!props.ok()) return props.status();
+    return ScanSampleProperties(**props, slot.key, interval,
+                                properties_scanned_, samples_parsed_);
+  });
 }
 
 }  // namespace hygraph::storage

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/sync.h"
 #include "query/backend.h"
@@ -36,22 +35,34 @@ namespace hygraph::storage {
 ///
 /// Thread safety (DESIGN.md §10): the whole store sits behind one
 /// reader-writer guard. Series reads and BeginSnapshot() take it shared;
-/// Append*Sample and MutateTopology take it exclusive and copy-on-write
-/// detach the graph when a snapshot has it pinned, so pinned views stay
+/// AppendSample and MutateTopology take it exclusive and copy-on-write
+/// detach the graph when a version has it pinned, so pinned versions stay
 /// immutable. topology() and mutable_topology() hand out references that
 /// outlive the guard — they are safe only single-threaded or against a
-/// pinned snapshot; concurrent code must use BeginSnapshot()/
+/// pinned version; concurrent code must use BeginSnapshot()/
 /// MutateTopology().
+///
+/// BeginSnapshot() returns the same class bound to a version: the pinned
+/// graph, read with no lock, and the origin's registry and instruments.
 class AllInGraphStore final : public query::QueryBackend {
+  /// Constructor access for BeginSnapshot() (passkey: make_shared needs a
+  /// public constructor, the tag keeps it BeginSnapshot()'s).
+  struct VersionTag {};
+
  public:
   AllInGraphStore();
+  /// A version: reads `graph`, shares `origin`'s registry and instruments,
+  /// and owns no graph, registry or lock.
+  AllInGraphStore(VersionTag, const AllInGraphStore& origin,
+                  std::shared_ptr<const graph::PropertyGraph> graph);
 
   std::string name() const override { return "all-in-graph"; }
   const graph::PropertyGraph& topology() const override;
 
-  /// Single-threaded bulk-load escape hatch: detaches any pinned snapshot,
+  /// Single-threaded bulk-load escape hatch: detaches any pinned version,
   /// then returns the live graph. The returned pointer is used outside the
-  /// store's guard — do not call concurrently with anything else.
+  /// store's guard — do not call concurrently with anything else. Null on
+  /// a version.
   graph::PropertyGraph* mutable_topology() override;
 
   /// Runs `fn` under the store's exclusive guard after a copy-on-write
@@ -59,34 +70,21 @@ class AllInGraphStore final : public query::QueryBackend {
   Status MutateTopology(
       const std::function<Status(graph::PropertyGraph*)>& fn) override;
 
-  /// Pins the current graph as an immutable read view (O(1): one pin
-  /// count and refcount). Mutators detach onto a fresh copy while the
-  /// view lives.
+  /// Pins the current graph as an immutable version (O(1): one pin count
+  /// and refcount). Mutators detach onto a fresh copy while it lives.
+  /// Null on a version, which is immutable already.
   std::shared_ptr<const query::QueryBackend> BeginSnapshot() const override;
 
   /// "allingraph.*" work counters: properties examined and samples parsed
   /// by the full-property-map scans — the cost Table 1 measures.
-  obs::MetricsRegistry* metrics() const override { return metrics_.get(); }
+  obs::MetricsRegistry* metrics() const override { return metrics_; }
   query::BackendWork Work() const override;
 
-  Status AppendVertexSample(graph::VertexId v, const std::string& key,
-                            Timestamp t, double value) override;
-  Status AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                          Timestamp t, double value) override;
+  Status AppendSample(const query::SeriesSlot& slot, Timestamp t,
+                      double value) override;
 
-  Result<ts::Series> VertexSeriesRange(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval) const override;
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override;
-
-  /// Series keys reconstructed by scanning the property map for the sample
-  /// prefix — the only way a generic property store can know them.
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override;
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override;
-
-  /// Samples ARE properties here: persisting the topology persists them.
-  bool SeriesEmbeddedInTopology() const override { return true; }
+  Result<ts::Series> SeriesRange(const query::SeriesSlot& slot,
+                                 const Interval& interval) const override;
 
   /// Encodes / decodes the property-key representation of one sample
   /// (exposed for tests).
@@ -95,20 +93,30 @@ class AllInGraphStore final : public query::QueryBackend {
                               const std::string& key, Timestamp* t);
 
  private:
-  /// Copy-on-write detach; call under exclusive topo_mu_. When a snapshot
+  /// The one read path: `fn(graph)` on a version's pinned graph with no
+  /// lock, or on the live graph under the shared guard.
+  template <typename Fn>
+  decltype(auto) Read(Fn&& fn) const;
+
+  /// Copy-on-write detach; call under exclusive topo_mu_. When a version
   /// has the graph pinned, replaces it with a private copy so the pinned
-  /// view keeps the pre-mutation state.
+  /// graph keeps the pre-mutation state.
   graph::PropertyGraph* Detach() HYGRAPH_REQUIRES(*topo_mu_);
 
+  // Set exactly on a version: the graph it reads.
+  std::shared_ptr<const graph::PropertyGraph> version_;
   CowGraph graph_ HYGRAPH_GUARDED_BY(*topo_mu_);
-  // Heap-held so the cached counter pointers survive moves of the store.
-  std::unique_ptr<obs::MetricsRegistry> metrics_;
+  // Owned by the live store; versions point at the origin's. Heap-held so
+  // the cached counter pointers survive moves of the store.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* properties_scanned_ = nullptr;
   obs::Counter* samples_parsed_ = nullptr;
   obs::Counter* snapshot_pins_ = nullptr;
   obs::Counter* topology_cow_copies_ = nullptr;
   SyncInstruments sync_;
   // Heap-held: SharedMutex is not movable, the store is. Rank kStoreCoarse.
+  // Null on a version.
   std::unique_ptr<SharedMutex> topo_mu_;
 };
 

@@ -2,6 +2,7 @@
 #define HYGRAPH_STORAGE_COW_GRAPH_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -21,6 +22,9 @@ namespace hygraph::storage {
 class CowGraph {
  public:
   CowGraph() : current_(std::make_shared<Incarnation>()) {}
+  /// No graph at all: the state of a store bound to a pinned version,
+  /// which reads that version instead and never touches this one.
+  explicit CowGraph(std::nullptr_t) {}
 
   const graph::PropertyGraph& operator*() const { return current_->graph; }
   const graph::PropertyGraph* operator->() const { return &current_->graph; }

@@ -209,8 +209,9 @@ namespace {
 /// snapshot (and recovery) O(hot data).
 Result<std::string> BuildSnapshotTextImpl(const query::QueryBackend& backend,
                                           const ts::HypertableStore* resident_only) {
-  HYGRAPH_RETURN_IF_ERROR(CheckDenseIds(backend.topology()));
-  auto hg = core::FromPropertyGraph(backend.topology());
+  const graph::PropertyGraph& topology = backend.topology();
+  HYGRAPH_RETURN_IF_ERROR(CheckDenseIds(topology));
+  auto hg = core::FromPropertyGraph(topology);
   if (!hg.ok()) return hg.status();
   std::unordered_map<std::string, SeriesId> sid_by_name;
   if (resident_only != nullptr) {
@@ -219,50 +220,40 @@ Result<std::string> BuildSnapshotTextImpl(const query::QueryBackend& backend,
       if (name.ok()) sid_by_name.emplace(*name, sid);
     }
   }
-  auto collect = [&](bool vertex, uint64_t entity,
-                     const std::string& key) -> Result<std::vector<ts::Sample>> {
+  auto collect =
+      [&](const query::SeriesSlot& slot) -> Result<std::vector<ts::Sample>> {
     if (resident_only != nullptr) {
-      auto it = sid_by_name.find(query::SeriesSlotName(vertex, entity, key));
+      auto it = sid_by_name.find(query::SeriesSlotName(slot));
       if (it != sid_by_name.end()) {
         return resident_only->MaterializeResident(it->second);
       }
       // A key the hypertable does not know by slot name (a foreign naming
       // scheme): fall through to the full materialization below.
     }
-    auto series = vertex
-                      ? backend.VertexSeriesRange(entity, key, Interval::All())
-                      : backend.EdgeSeriesRange(entity, key, Interval::All());
+    auto series = backend.SeriesRange(slot, Interval::All());
     if (!series.ok()) return series.status();
     return std::vector<ts::Sample>(series->samples().begin(),
                                    series->samples().end());
   };
-  if (!backend.SeriesEmbeddedInTopology()) {
-    for (graph::VertexId v : backend.topology().VertexIds()) {
-      for (const std::string& key : backend.VertexSeriesKeys(v)) {
-        auto samples = collect(/*vertex=*/true, v, key);
-        if (!samples.ok()) return samples.status();
-        ts::MultiSeries ms(key, {"value"});
-        for (const ts::Sample& s : *samples) {
-          HYGRAPH_RETURN_IF_ERROR(ms.AppendRow(s.t, {s.value}));
-        }
-        auto sid = hg->SetVertexSeriesProperty(
-            v, kSnapshotSeriesPrefix + key, std::move(ms));
-        if (!sid.ok()) return sid.status();
-      }
+  for (const query::SeriesSlot& slot : backend.SeriesSlots()) {
+    // A removed entity's series outlives it in the backend; the topology no
+    // longer names it, so neither does the snapshot.
+    if (!(slot.vertex ? topology.HasVertex(slot.entity)
+                      : topology.HasEdge(slot.entity))) {
+      continue;
     }
-    for (graph::EdgeId e : backend.topology().EdgeIds()) {
-      for (const std::string& key : backend.EdgeSeriesKeys(e)) {
-        auto samples = collect(/*vertex=*/false, e, key);
-        if (!samples.ok()) return samples.status();
-        ts::MultiSeries ms(key, {"value"});
-        for (const ts::Sample& s : *samples) {
-          HYGRAPH_RETURN_IF_ERROR(ms.AppendRow(s.t, {s.value}));
-        }
-        auto sid = hg->SetEdgeSeriesProperty(e, kSnapshotSeriesPrefix + key,
-                                             std::move(ms));
-        if (!sid.ok()) return sid.status();
-      }
+    auto samples = collect(slot);
+    if (!samples.ok()) return samples.status();
+    ts::MultiSeries ms(slot.key, {"value"});
+    for (const ts::Sample& s : *samples) {
+      HYGRAPH_RETURN_IF_ERROR(ms.AppendRow(s.t, {s.value}));
     }
+    const std::string property = kSnapshotSeriesPrefix + slot.key;
+    auto sid =
+        slot.vertex
+            ? hg->SetVertexSeriesProperty(slot.entity, property, std::move(ms))
+            : hg->SetEdgeSeriesProperty(slot.entity, property, std::move(ms));
+    if (!sid.ok()) return sid.status();
   }
   return core::Serialize(*hg);
 }
@@ -316,37 +307,30 @@ Status RestoreFromSnapshotText(const std::string& text,
 
   // Re-ingest the series that were carried as pooled series properties.
   const size_t prefix_len = sizeof(kSnapshotSeriesPrefix) - 1;
-  for (graph::VertexId v : hg->structure().VertexIds()) {
-    const graph::Vertex& vertex = **hg->structure().GetVertex(v);
-    for (const auto& [key, value] : vertex.properties) {
+  auto restore = [&](bool vertex, uint64_t entity,
+                     const graph::PropertyMap& properties) -> Status {
+    for (const auto& [key, value] : properties) {
       if (!value.is_series_ref() ||
           !StartsWith(key, kSnapshotSeriesPrefix)) {
         continue;
       }
       auto ms = hg->LookupSeries(value.AsSeriesId());
       if (!ms.ok()) return ms.status();
-      const std::string series_key = key.substr(prefix_len);
+      const query::SeriesSlot slot{vertex, entity, key.substr(prefix_len)};
       for (size_t r = 0; r < (*ms)->size(); ++r) {
-        HYGRAPH_RETURN_IF_ERROR(backend->AppendVertexSample(
-            v, series_key, (*ms)->times()[r], (*ms)->at(r, 0)));
+        HYGRAPH_RETURN_IF_ERROR(
+            backend->AppendSample(slot, (*ms)->times()[r], (*ms)->at(r, 0)));
       }
     }
+    return Status::OK();
+  };
+  for (graph::VertexId v : hg->structure().VertexIds()) {
+    HYGRAPH_RETURN_IF_ERROR(
+        restore(true, v, (*hg->structure().GetVertex(v))->properties));
   }
   for (graph::EdgeId e : hg->structure().EdgeIds()) {
-    const graph::Edge& edge = **hg->structure().GetEdge(e);
-    for (const auto& [key, value] : edge.properties) {
-      if (!value.is_series_ref() ||
-          !StartsWith(key, kSnapshotSeriesPrefix)) {
-        continue;
-      }
-      auto ms = hg->LookupSeries(value.AsSeriesId());
-      if (!ms.ok()) return ms.status();
-      const std::string series_key = key.substr(prefix_len);
-      for (size_t r = 0; r < (*ms)->size(); ++r) {
-        HYGRAPH_RETURN_IF_ERROR(backend->AppendEdgeSample(
-            e, series_key, (*ms)->times()[r], (*ms)->at(r, 0)));
-      }
-    }
+    HYGRAPH_RETURN_IF_ERROR(
+        restore(false, e, (*hg->structure().GetEdge(e))->properties));
   }
   return Status::OK();
 }
@@ -434,15 +418,12 @@ Status DurableStore::Open() {
       auto catalog = cold_tier_->LoadCatalog(snap_seq);
       if (!catalog.ok()) return catalog.status();
       for (const ColdCatalogEntry& entry : *catalog) {
-        bool vertex = false;
-        uint64_t entity = 0;
-        std::string key;
-        if (!query::ParseSeriesSlotName(entry.series, &vertex, &entity,
-                                        &key)) {
+        query::SeriesSlot slot;
+        if (!query::ParseSeriesSlotName(entry.series, &slot)) {
           return Status::Corruption("cold catalog series '" + entry.series +
                                     "' is not an entity slot name");
         }
-        auto sid = inner_->EnsureSeries(vertex, entity, key);
+        auto sid = inner_->EnsureSeries(slot);
         if (!sid.ok()) return sid.status();
         HYGRAPH_RETURN_IF_ERROR(tiered_ht->AdoptColdChunk(
             *sid, entry.chunk_start, entry.id, entry.meta));
@@ -638,8 +619,8 @@ Status DurableStore::ApplyRecord(const std::string& record) {
     if (!t.ok()) return t.status();
     auto value = cursor.NextDouble();
     if (!value.ok()) return value.status();
-    return *op == "AV" ? inner_->AppendVertexSample(*id, *key, *t, *value)
-                       : inner_->AppendEdgeSample(*id, *key, *t, *value);
+    return inner_->AppendSample(
+        query::SeriesSlot{*op == "AV", *id, std::move(*key)}, *t, *value);
   }
   if (*op == "NV") {
     auto id = cursor.NextUint();
@@ -993,115 +974,17 @@ Status DurableStore::MutateTopology(
   return inner_->MutateTopology(fn);
 }
 
-std::shared_ptr<const query::QueryBackend> DurableStore::BeginSnapshot()
-    const {
-  return inner_->BeginSnapshot();
-}
-
-Status DurableStore::AppendVertexSample(graph::VertexId v,
-                                        const std::string& key, Timestamp t,
-                                        double value) {
+Status DurableStore::AppendSample(const query::SeriesSlot& slot, Timestamp t,
+                                  double value) {
   MutexLock lock(append_mu_);
   HYGRAPH_RETURN_IF_ERROR(RequireWritable());
-  HYGRAPH_RETURN_IF_ERROR(Log("AV " + std::to_string(v) + " " +
-                              core::EncodeField(key) + " " +
+  HYGRAPH_RETURN_IF_ERROR(Log((slot.vertex ? "AV " : "AE ") +
+                              std::to_string(slot.entity) + " " +
+                              core::EncodeField(slot.key) + " " +
                               std::to_string(t) + " " + FormatDouble(value)));
-  Status s = inner_->AppendVertexSample(v, key, t, value);
+  Status s = inner_->AppendSample(slot, t, value);
   MaybeAutoCheckpoint();
   return s;
-}
-
-Status DurableStore::AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                                      Timestamp t, double value) {
-  MutexLock lock(append_mu_);
-  HYGRAPH_RETURN_IF_ERROR(RequireWritable());
-  HYGRAPH_RETURN_IF_ERROR(Log("AE " + std::to_string(e) + " " +
-                              core::EncodeField(key) + " " +
-                              std::to_string(t) + " " + FormatDouble(value)));
-  Status s = inner_->AppendEdgeSample(e, key, t, value);
-  MaybeAutoCheckpoint();
-  return s;
-}
-
-Result<ts::Series> DurableStore::VertexSeriesRange(
-    graph::VertexId v, const std::string& key, const Interval& interval) const {
-  return inner_->VertexSeriesRange(v, key, interval);
-}
-
-Result<ts::Series> DurableStore::EdgeSeriesRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval) const {
-  return inner_->EdgeSeriesRange(e, key, interval);
-}
-
-Result<double> DurableStore::CorrelateSeriesRange(
-    const query::SeriesSlot& slot, const Interval& interval,
-    const ts::Series& anchor) const {
-  return inner_->CorrelateSeriesRange(slot, interval, anchor);
-}
-
-Result<double> DurableStore::VertexSeriesAggregate(graph::VertexId v,
-                                                   const std::string& key,
-                                                   const Interval& interval,
-                                                   ts::AggKind kind) const {
-  return inner_->VertexSeriesAggregate(v, key, interval, kind);
-}
-
-Result<double> DurableStore::EdgeSeriesAggregate(graph::EdgeId e,
-                                                 const std::string& key,
-                                                 const Interval& interval,
-                                                 ts::AggKind kind) const {
-  return inner_->EdgeSeriesAggregate(e, key, interval, kind);
-}
-
-std::vector<Result<double>> DurableStore::VertexSeriesAggregateBatch(
-    const std::vector<graph::VertexId>& vertices, const std::string& key,
-    const Interval& interval, ts::AggKind kind) const {
-  return inner_->VertexSeriesAggregateBatch(vertices, key, interval, kind);
-}
-
-std::vector<Result<double>> DurableStore::EdgeSeriesAggregateBatch(
-    const std::vector<graph::EdgeId>& edges, const std::string& key,
-    const Interval& interval, ts::AggKind kind) const {
-  return inner_->EdgeSeriesAggregateBatch(edges, key, interval, kind);
-}
-
-Result<size_t> DurableStore::VertexSeriesCountInRange(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    double min_value, double max_value) const {
-  return inner_->VertexSeriesCountInRange(v, key, interval, min_value,
-                                          max_value);
-}
-
-Result<size_t> DurableStore::EdgeSeriesCountInRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    double min_value, double max_value) const {
-  return inner_->EdgeSeriesCountInRange(e, key, interval, min_value,
-                                        max_value);
-}
-
-Result<ts::Series> DurableStore::VertexSeriesWindowAggregate(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  return inner_->VertexSeriesWindowAggregate(v, key, interval, width, kind);
-}
-
-Result<ts::Series> DurableStore::EdgeSeriesWindowAggregate(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  return inner_->EdgeSeriesWindowAggregate(e, key, interval, width, kind);
-}
-
-std::vector<std::string> DurableStore::VertexSeriesKeys(
-    graph::VertexId v) const {
-  return inner_->VertexSeriesKeys(v);
-}
-
-std::vector<std::string> DurableStore::EdgeSeriesKeys(graph::EdgeId e) const {
-  return inner_->EdgeSeriesKeys(e);
-}
-
-bool DurableStore::SeriesEmbeddedInTopology() const {
-  return inner_->SeriesEmbeddedInTopology();
 }
 
 }  // namespace hygraph::storage

@@ -190,58 +190,53 @@ class DurableStore final : public query::QueryBackend {
   /// the next Checkpoint(), like mutable_topology().
   Status MutateTopology(
       const std::function<Status(graph::PropertyGraph*)>& fn) override;
-  /// Pins the wrapped backend's read view; the WAL plays no part in reads.
-  std::shared_ptr<const query::QueryBackend> BeginSnapshot() const override;
-  Status AppendVertexSample(graph::VertexId v, const std::string& key,
-                            Timestamp t, double value) override;
-  Status AppendEdgeSample(graph::EdgeId e, const std::string& key, Timestamp t,
-                          double value) override;
-  Result<ts::Series> VertexSeriesRange(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval) const override;
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override;
+  /// Pins the wrapped backend's version; the WAL plays no part in reads.
+  std::shared_ptr<const query::QueryBackend> BeginSnapshot() const override {
+    return inner_->BeginSnapshot();
+  }
+  /// Logs an AV/AE record, then appends to the wrapped backend.
+  Status AppendSample(const query::SeriesSlot& slot, Timestamp t,
+                      double value) override;
+
+  // Reads forward to the wrapped backend.
+  Result<ts::Series> SeriesRange(const query::SeriesSlot& slot,
+                                 const Interval& interval) const override {
+    return inner_->SeriesRange(slot, interval);
+  }
   Result<double> CorrelateSeriesRange(const query::SeriesSlot& slot,
                                       const Interval& interval,
-                                      const ts::Series& anchor) const override;
-  Result<double> VertexSeriesAggregate(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval,
-                                       ts::AggKind kind) const override;
-  Result<double> EdgeSeriesAggregate(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval,
-                                     ts::AggKind kind) const override;
-  std::vector<Result<double>> VertexSeriesAggregateBatch(
-      const std::vector<graph::VertexId>& vertices, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const override;
-  std::vector<Result<double>> EdgeSeriesAggregateBatch(
-      const std::vector<graph::EdgeId>& edges, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const override;
-  Result<size_t> VertexSeriesCountInRange(graph::VertexId v,
-                                          const std::string& key,
-                                          const Interval& interval,
-                                          double min_value,
-                                          double max_value) const override;
-  Result<size_t> EdgeSeriesCountInRange(graph::EdgeId e,
-                                        const std::string& key,
-                                        const Interval& interval,
-                                        double min_value,
-                                        double max_value) const override;
-  Result<ts::Series> VertexSeriesWindowAggregate(
-      graph::VertexId v, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override;
-  Result<ts::Series> EdgeSeriesWindowAggregate(
-      graph::EdgeId e, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override;
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override;
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override;
-  bool SeriesEmbeddedInTopology() const override;
+                                      const ts::Series& anchor) const override {
+    return inner_->CorrelateSeriesRange(slot, interval, anchor);
+  }
+  Result<double> SeriesAggregate(const query::SeriesSlot& slot,
+                                 const Interval& interval,
+                                 ts::AggKind kind) const override {
+    return inner_->SeriesAggregate(slot, interval, kind);
+  }
+  std::vector<Result<double>> SeriesAggregateBatch(
+      const std::vector<query::SeriesSlot>& slots, const Interval& interval,
+      ts::AggKind kind) const override {
+    return inner_->SeriesAggregateBatch(slots, interval, kind);
+  }
+  Result<ts::Series> SeriesWindowAggregate(const query::SeriesSlot& slot,
+                                           const Interval& interval,
+                                           Duration width,
+                                           ts::AggKind kind) const override {
+    return inner_->SeriesWindowAggregate(slot, interval, width, kind);
+  }
+  Result<size_t> SeriesCountInRange(const query::SeriesSlot& slot,
+                                    const Interval& interval, double min_value,
+                                    double max_value) const override {
+    return inner_->SeriesCountInRange(slot, interval, min_value, max_value);
+  }
+  std::vector<query::SeriesSlot> SeriesSlots() const override {
+    return inner_->SeriesSlots();
+  }
   ts::HypertableStore* series_hypertable() override {
     return inner_->series_hypertable();
   }
-  Result<SeriesId> EnsureSeries(bool vertex, uint64_t entity,
-                                const std::string& key) override {
-    return inner_->EnsureSeries(vertex, entity, key);
+  Result<SeriesId> EnsureSeries(const query::SeriesSlot& slot) override {
+    return inner_->EnsureSeries(slot);
   }
 
  private:
@@ -321,10 +316,11 @@ class DurableStore final : public query::QueryBackend {
 };
 
 /// Serializes a backend's full logical state (topology + every series)
-/// through the core::Serialize text format, series attached as pooled
-/// series properties named "__durable_series__<key>" unless the backend
-/// embeds samples in the topology. Requires dense ids. Exposed for tests
-/// and for state comparison (the text is canonical).
+/// through the core::Serialize text format, every series of SeriesSlots()
+/// attached as a pooled series property named "__durable_series__<key>"
+/// (none for a backend whose samples live in the topology). Requires dense
+/// ids. Exposed for tests and for state comparison (the text is
+/// canonical).
 Result<std::string> BuildSnapshotText(const query::QueryBackend& backend);
 
 /// Rebuilds backend state from BuildSnapshotText output. The backend must

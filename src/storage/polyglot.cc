@@ -16,25 +16,14 @@ ts::HypertableOptions WithDefaultMetrics(ts::HypertableOptions options,
   return options;
 }
 
-Result<SeriesId> ResolveIn(const PolyglotStore::SeriesMap& map, uint64_t id,
-                           const std::string& key) {
-  auto it = map.find(PolyglotStore::EntityKey{id, key});
+template <typename Map>
+Result<SeriesId> ResolveIn(const Map& map, const query::SeriesSlot& slot) {
+  auto it = map.find(slot);
   if (it == map.end()) {
-    return Status::NotFound("no series '" + key + "' on entity " +
-                            std::to_string(id));
+    return Status::NotFound("no series '" + slot.key + "' on entity " +
+                            std::to_string(slot.entity));
   }
   return it->second;
-}
-
-std::vector<std::string> KeysOf(const PolyglotStore::SeriesMap& map,
-                                uint64_t id) {
-  std::vector<std::string> keys;
-  for (const auto& [entity_key, sid] : map) {
-    (void)sid;
-    if (entity_key.id == id) keys.push_back(entity_key.key);
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
 }
 
 // An entity without a series under `key` behaves like an entity with an
@@ -46,48 +35,18 @@ Result<double> EmptyAggregate(ts::AggKind kind) {
   return Status::NotFound("aggregate over empty range");
 }
 
-// Resolves each entity's series under `key` and pre-fills the answer
-// vector with EmptyAggregate placeholders; absent entities keep the
-// placeholder (matching the single-entity overrides). Present entities are
-// recorded as (series, output slot) pairs for the batch call.
-std::vector<Result<double>> PlanAggregateBatch(
-    const PolyglotStore::SeriesMap& map, const std::vector<uint64_t>& ids,
-    const std::string& key, ts::AggKind kind, std::vector<SeriesId>* present,
-    std::vector<size_t>* slot) {
-  std::vector<Result<double>> out;
-  out.reserve(ids.size());
-  present->reserve(ids.size());
-  slot->reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto sid = ResolveIn(map, ids[i], key);
-    if (sid.ok()) {
-      present->push_back(*sid);
-      slot->push_back(i);
-    }
-    out.push_back(EmptyAggregate(kind));
-  }
-  return out;
+Status ReadOnly() {
+  return Status::FailedPrecondition("snapshot is read-only");
 }
 
-// Runs the resolved series through the hypertable's batch aggregate (one
-// series after another) and scatters the answers into their slots. A
-// batch-wide failure (cancellation, deadline, budget) overwrites every
-// slot; per-series errors come back inside the results themselves.
-void ScatterAggregateBatch(const ts::HypertableStore& store,
-                           const Interval& interval, ts::AggKind kind,
-                           const std::vector<SeriesId>& present,
-                           const std::vector<size_t>& slot,
-                           std::vector<Result<double>>* out) {
-  if (present.empty()) return;
-  std::vector<Result<double>> results;
-  const Status batch = store.AggregateMany(present, interval, kind, &results);
-  if (!batch.ok()) {
-    for (auto& r : *out) r = batch;
-    return;
+// The entity must exist before a series is created under it.
+Status CheckEntity(const graph::PropertyGraph& g,
+                   const query::SeriesSlot& slot) {
+  if (slot.vertex ? g.HasVertex(slot.entity) : g.HasEdge(slot.entity)) {
+    return Status::OK();
   }
-  for (size_t i = 0; i < present.size(); ++i) {
-    (*out)[slot[i]] = std::move(results[i]);
-  }
+  return Status::NotFound(std::string(slot.vertex ? "no vertex" : "no edge") +
+                          " with id " + std::to_string(slot.entity));
 }
 
 query::BackendWork WorkFromStats(const ts::HypertableStats& stats) {
@@ -102,165 +61,49 @@ query::BackendWork WorkFromStats(const ts::HypertableStats& stats) {
 
 }  // namespace
 
-/// A published version: the graph, the (entity, key) maps and the
-/// hypertable's version, all immutable and held by pointer. The hypertable
-/// version shares the origin's registry, so Work()/PROFILE attribution
-/// keeps working across a snapshot.
-class PolyglotSnapshot final : public query::QueryBackend {
- public:
-  PolyglotSnapshot(std::shared_ptr<const graph::PropertyGraph> graph,
-                   std::shared_ptr<const PolyglotStore::SeriesMaps> maps,
-                   std::shared_ptr<const ts::HypertableStore> series)
-      : graph_(std::move(graph)),
-        maps_(std::move(maps)),
-        series_(std::move(series)) {}
-
-  /// The hypertable version this snapshot reads.
-  const ts::HypertableStore* series() const { return series_.get(); }
-
-  std::string name() const override { return "polyglot"; }
-  const graph::PropertyGraph& topology() const override { return *graph_; }
-  graph::PropertyGraph* mutable_topology() override { return nullptr; }
-
-  obs::MetricsRegistry* metrics() const override { return series_->metrics(); }
-  query::BackendWork Work() const override {
-    return WorkFromStats(series_->stats());
-  }
-
-  Status AppendVertexSample(graph::VertexId, const std::string&, Timestamp,
-                            double) override {
-    return Status::FailedPrecondition("snapshot is read-only");
-  }
-  Status AppendEdgeSample(graph::EdgeId, const std::string&, Timestamp,
-                          double) override {
-    return Status::FailedPrecondition("snapshot is read-only");
-  }
-
-  Result<ts::Series> VertexSeriesRange(
-      graph::VertexId v, const std::string& key,
-      const Interval& interval) const override {
-    auto sid = ResolveIn(maps_->vertex, v, key);
-    if (!sid.ok()) return ts::Series(key);
-    return series_->Materialize(*sid, interval);
-  }
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override {
-    auto sid = ResolveIn(maps_->edge, e, key);
-    if (!sid.ok()) return ts::Series(key);
-    return series_->Materialize(*sid, interval);
-  }
-
-  Result<double> CorrelateSeriesRange(
-      const query::SeriesSlot& slot, const Interval& interval,
-      const ts::Series& anchor) const override {
-    auto sid = ResolveIn(maps_->of(slot.vertex), slot.entity, slot.key);
-    if (!sid.ok()) return ts::Correlation(anchor, ts::Series(slot.key));
-    return series_->Correlate(*sid, interval, anchor);
-  }
-
-  Result<double> VertexSeriesAggregate(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval,
-                                       ts::AggKind kind) const override {
-    auto sid = ResolveIn(maps_->vertex, v, key);
-    if (!sid.ok()) return EmptyAggregate(kind);
-    return series_->Aggregate(*sid, interval, kind);
-  }
-  Result<double> EdgeSeriesAggregate(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval,
-                                     ts::AggKind kind) const override {
-    auto sid = ResolveIn(maps_->edge, e, key);
-    if (!sid.ok()) return EmptyAggregate(kind);
-    return series_->Aggregate(*sid, interval, kind);
-  }
-
-  std::vector<Result<double>> VertexSeriesAggregateBatch(
-      const std::vector<graph::VertexId>& vertices, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const override {
-    std::vector<SeriesId> present;
-    std::vector<size_t> slot;
-    auto out = PlanAggregateBatch(maps_->vertex, vertices, key, kind,
-                                  &present, &slot);
-    ScatterAggregateBatch(*series_, interval, kind, present, slot, &out);
-    return out;
-  }
-  std::vector<Result<double>> EdgeSeriesAggregateBatch(
-      const std::vector<graph::EdgeId>& edges, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const override {
-    std::vector<SeriesId> present;
-    std::vector<size_t> slot;
-    auto out = PlanAggregateBatch(maps_->edge, edges, key, kind, &present,
-                                  &slot);
-    ScatterAggregateBatch(*series_, interval, kind, present, slot, &out);
-    return out;
-  }
-
-  Result<ts::Series> VertexSeriesWindowAggregate(
-      graph::VertexId v, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override {
-    auto sid = ResolveIn(maps_->vertex, v, key);
-    if (!sid.ok()) return ts::Series(key);
-    return series_->WindowAggregate(*sid, interval, width, kind);
-  }
-  Result<ts::Series> EdgeSeriesWindowAggregate(
-      graph::EdgeId e, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override {
-    auto sid = ResolveIn(maps_->edge, e, key);
-    if (!sid.ok()) return ts::Series(key);
-    return series_->WindowAggregate(*sid, interval, width, kind);
-  }
-
-  Result<size_t> VertexSeriesCountInRange(graph::VertexId v,
-                                          const std::string& key,
-                                          const Interval& interval,
-                                          double min_value,
-                                          double max_value) const override {
-    auto sid = ResolveIn(maps_->vertex, v, key);
-    if (!sid.ok()) return size_t{0};
-    return series_->CountMatching(*sid, interval,
-                                  ts::ScanPredicate{min_value, max_value});
-  }
-  Result<size_t> EdgeSeriesCountInRange(graph::EdgeId e,
-                                        const std::string& key,
-                                        const Interval& interval,
-                                        double min_value,
-                                        double max_value) const override {
-    auto sid = ResolveIn(maps_->edge, e, key);
-    if (!sid.ok()) return size_t{0};
-    return series_->CountMatching(*sid, interval,
-                                  ts::ScanPredicate{min_value, max_value});
-  }
-
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override {
-    return KeysOf(maps_->vertex, v);
-  }
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override {
-    return KeysOf(maps_->edge, e);
-  }
-
- private:
-  std::shared_ptr<const graph::PropertyGraph> graph_;
-  std::shared_ptr<const PolyglotStore::SeriesMaps> maps_;
-  std::shared_ptr<const ts::HypertableStore> series_;
-};
-
 PolyglotStore::PolyglotStore(ts::HypertableOptions ts_options)
     : metrics_(std::make_unique<obs::MetricsRegistry>()),
-      series_(WithDefaultMetrics(std::move(ts_options), metrics_.get())),
-      maps_(std::make_shared<SeriesMaps>()),
+      series_(std::make_unique<ts::HypertableStore>(
+          WithDefaultMetrics(std::move(ts_options), metrics_.get()))),
+      map_(std::make_shared<SeriesMap>()),
       topology_cow_copies_(
-          series_.metrics()->counter("concurrency.topology_cow_copies")),
-      sync_(SyncInstruments::ForRegistry(series_.metrics())),
+          series_->metrics()->counter("concurrency.topology_cow_copies")),
+      sync_(SyncInstruments::ForRegistry(series_->metrics())),
       store_mu_(std::make_unique<SharedMutex>(LockRank::kStoreCoarse, sync_)),
       publish_mu_(std::make_unique<Mutex>(LockRank::kStorePublish, sync_)) {}
 
+PolyglotStore::PolyglotStore(VersionTag,
+                             std::shared_ptr<const graph::PropertyGraph> graph,
+                             std::shared_ptr<const SeriesMap> map,
+                             std::shared_ptr<const ts::HypertableStore> series)
+    : pinned_graph_(std::move(graph)),
+      pinned_map_(std::move(map)),
+      pinned_series_(std::move(series)),
+      graph_(nullptr) {}
+
+template <typename Fn>
+decltype(auto) PolyglotStore::Read(Fn&& fn) const {
+  if (pinned_series_ != nullptr) return fn(*pinned_graph_, *pinned_map_);
+  SharedLock lock(*store_mu_);
+  return fn(*graph_, *map_);
+}
+
+Result<SeriesId> PolyglotStore::Resolve(const query::SeriesSlot& slot) const {
+  return Read([&](const graph::PropertyGraph&, const SeriesMap& map) {
+    return ResolveIn(map, slot);
+  });
+}
+
 query::BackendWork PolyglotStore::Work() const {
-  return WorkFromStats(series_.stats());
+  return WorkFromStats(series_store().stats());
 }
 
 const graph::PropertyGraph& PolyglotStore::topology() const {
-  SharedLock lock(*store_mu_);
-  return *graph_;  // reference outlives the guard; see header contract
+  // The reference outlives the guard; see the header contract.
+  return Read([](const graph::PropertyGraph& g,
+                 const SeriesMap&) -> const graph::PropertyGraph& {
+    return g;
+  });
 }
 
 graph::PropertyGraph* PolyglotStore::Detach() {
@@ -274,235 +117,174 @@ graph::PropertyGraph* PolyglotStore::Detach() {
 }
 
 graph::PropertyGraph* PolyglotStore::mutable_topology() {
+  if (pinned_series_ != nullptr) return nullptr;
   ExclusiveLock lock(*store_mu_);
   return Detach();
 }
 
 Status PolyglotStore::MutateTopology(
     const std::function<Status(graph::PropertyGraph*)>& fn) {
+  if (pinned_series_ != nullptr) return ReadOnly();
   ExclusiveLock lock(*store_mu_);
   return fn(Detach());
 }
 
-PolyglotStore::SeriesMaps* PolyglotStore::MutableMaps() {
+PolyglotStore::SeriesMap* PolyglotStore::MutableMap() {
   MutexLock lock(*publish_mu_);
   published_.reset();
-  if (maps_published_) {
-    maps_ = std::make_shared<SeriesMaps>(*maps_);
-    maps_published_ = false;
+  if (map_published_) {
+    map_ = std::make_shared<SeriesMap>(*map_);
+    map_published_ = false;
   }
-  return maps_.get();
+  return map_.get();
 }
 
 std::shared_ptr<const query::QueryBackend> PolyglotStore::BeginSnapshot()
     const {
-  // Writers of the graph and the maps hold the guard exclusively and drop
+  if (pinned_series_ != nullptr) return nullptr;
+  // Writers of the graph and the map hold the guard exclusively and drop
   // the published version; sample writes only mark their series written,
-  // and Fork() republishes just those. Under the shared guard the maps and
+  // and Fork() republishes just those. Under the shared guard the map and
   // the hypertable's series set cannot drift apart.
   SharedLock lock(*store_mu_);
   MutexLock publish(*publish_mu_);
-  std::shared_ptr<const ts::HypertableStore> series = series_.Fork();
-  if (published_ == nullptr || published_->series() != series.get()) {
-    published_ = std::make_shared<const PolyglotSnapshot>(
-        graph_.Pin(), maps_, std::move(series));
-    maps_published_ = true;
+  std::shared_ptr<const ts::HypertableStore> series = series_->Fork();
+  if (published_ == nullptr || published_->pinned_series_ != series) {
+    published_ = std::make_shared<const PolyglotStore>(
+        VersionTag{}, graph_.Pin(), map_, std::move(series));
+    map_published_ = true;
   }
   return published_;
 }
 
-Result<SeriesId> PolyglotStore::ResolveLocked(bool vertex, uint64_t id,
-                                              const std::string& key) const {
-  SharedLock lock(*store_mu_);
-  return ResolveIn(maps_->of(vertex), id, key);
-}
-
-SeriesId PolyglotStore::ResolveOrCreate(bool vertex, uint64_t id,
-                                        const std::string& key) {
-  auto found = ResolveIn(maps_->of(vertex), id, key);
+SeriesId PolyglotStore::ResolveOrCreate(const query::SeriesSlot& slot) {
+  auto found = ResolveIn(*map_, slot);
   if (found.ok()) return *found;
   // The slot-name contract (query::SeriesSlotName) is what lets the cold
-  // tier's catalog map persisted series back to (entity, key) on recovery.
-  const SeriesId sid = series_.Create(query::SeriesSlotName(vertex, id, key));
-  SeriesMaps* maps = MutableMaps();
-  (vertex ? maps->vertex : maps->edge).emplace(EntityKey{id, key}, sid);
+  // tier's catalog map persisted series back to their slot on recovery.
+  const SeriesId sid = series_->Create(query::SeriesSlotName(slot));
+  MutableMap()->emplace(slot, sid);
   return sid;
 }
 
-Result<SeriesId> PolyglotStore::EnsureSeries(bool vertex, uint64_t entity,
-                                             const std::string& key) {
+Result<SeriesId> PolyglotStore::EnsureSeries(const query::SeriesSlot& slot) {
+  if (pinned_series_ != nullptr) return ReadOnly();
   ExclusiveLock lock(*store_mu_);
-  return ResolveOrCreate(vertex, entity, key);
+  return ResolveOrCreate(slot);
 }
 
-Status PolyglotStore::AppendVertexSample(graph::VertexId v,
-                                         const std::string& key, Timestamp t,
-                                         double value) {
+Status PolyglotStore::AppendSample(const query::SeriesSlot& slot, Timestamp t,
+                                   double value) {
+  if (pinned_series_ != nullptr) return ReadOnly();
   SeriesId sid = 0;
   bool found = false;
   {
     // Fast path: existing series resolve under the shared guard, so
     // steady-state ingest on different series runs concurrently.
     SharedLock lock(*store_mu_);
-    if (!graph_->HasVertex(v)) {
-      return Status::NotFound("no vertex with id " + std::to_string(v));
-    }
-    auto it = maps_->vertex.find(EntityKey{v, key});
-    if (it != maps_->vertex.end()) {
+    HYGRAPH_RETURN_IF_ERROR(CheckEntity(*graph_, slot));
+    auto it = map_->find(slot);
+    if (it != map_->end()) {
       sid = it->second;
       found = true;
     }
   }
   if (!found) {
     ExclusiveLock lock(*store_mu_);
-    if (!graph_->HasVertex(v)) {  // recheck: guard was dropped
-      return Status::NotFound("no vertex with id " + std::to_string(v));
-    }
-    sid = ResolveOrCreate(/*vertex=*/true, v, key);
+    // Recheck: the guard was dropped.
+    HYGRAPH_RETURN_IF_ERROR(CheckEntity(*graph_, slot));
+    sid = ResolveOrCreate(slot);
   }
-  return series_.Insert(sid, t, value);
+  return series_->Insert(sid, t, value);
 }
 
-Status PolyglotStore::AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                                       Timestamp t, double value) {
-  SeriesId sid = 0;
-  bool found = false;
-  {
-    SharedLock lock(*store_mu_);
-    if (!graph_->HasEdge(e)) {
-      return Status::NotFound("no edge with id " + std::to_string(e));
-    }
-    auto it = maps_->edge.find(EntityKey{e, key});
-    if (it != maps_->edge.end()) {
-      sid = it->second;
-      found = true;
-    }
-  }
-  if (!found) {
-    ExclusiveLock lock(*store_mu_);
-    if (!graph_->HasEdge(e)) {  // recheck: guard was dropped
-      return Status::NotFound("no edge with id " + std::to_string(e));
-    }
-    sid = ResolveOrCreate(/*vertex=*/false, e, key);
-  }
-  return series_.Insert(sid, t, value);
+std::vector<query::SeriesSlot> PolyglotStore::SeriesSlots() const {
+  std::vector<query::SeriesSlot> slots =
+      Read([](const graph::PropertyGraph&, const SeriesMap& map) {
+        std::vector<query::SeriesSlot> out;
+        out.reserve(map.size());
+        for (const auto& entry : map) out.push_back(entry.first);
+        return out;
+      });
+  std::sort(slots.begin(), slots.end());
+  return slots;
 }
 
-std::vector<std::string> PolyglotStore::VertexSeriesKeys(
-    graph::VertexId v) const {
-  SharedLock lock(*store_mu_);
-  return KeysOf(maps_->vertex, v);
-}
-
-std::vector<std::string> PolyglotStore::EdgeSeriesKeys(graph::EdgeId e) const {
-  SharedLock lock(*store_mu_);
-  return KeysOf(maps_->edge, e);
-}
-
-Result<ts::Series> PolyglotStore::VertexSeriesRange(
-    graph::VertexId v, const std::string& key,
-    const Interval& interval) const {
-  auto sid = ResolveLocked(/*vertex=*/true, v, key);
-  if (!sid.ok()) return ts::Series(key);
-  return series_.Materialize(*sid, interval);
-}
-
-Result<ts::Series> PolyglotStore::EdgeSeriesRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval) const {
-  auto sid = ResolveLocked(/*vertex=*/false, e, key);
-  if (!sid.ok()) return ts::Series(key);
-  return series_.Materialize(*sid, interval);
+Result<ts::Series> PolyglotStore::SeriesRange(const query::SeriesSlot& slot,
+                                              const Interval& interval) const {
+  auto sid = Resolve(slot);
+  if (!sid.ok()) return ts::Series(slot.key);
+  return series_store().Materialize(*sid, interval);
 }
 
 Result<double> PolyglotStore::CorrelateSeriesRange(
     const query::SeriesSlot& slot, const Interval& interval,
     const ts::Series& anchor) const {
-  auto sid = ResolveLocked(slot.vertex, slot.entity, slot.key);
+  auto sid = Resolve(slot);
   if (!sid.ok()) return ts::Correlation(anchor, ts::Series(slot.key));
-  return series_.Correlate(*sid, interval, anchor);
+  return series_store().Correlate(*sid, interval, anchor);
 }
 
-Result<double> PolyglotStore::VertexSeriesAggregate(graph::VertexId v,
-                                                    const std::string& key,
-                                                    const Interval& interval,
-                                                    ts::AggKind kind) const {
-  auto sid = ResolveLocked(/*vertex=*/true, v, key);
+Result<double> PolyglotStore::SeriesAggregate(const query::SeriesSlot& slot,
+                                              const Interval& interval,
+                                              ts::AggKind kind) const {
+  auto sid = Resolve(slot);
   if (!sid.ok()) return EmptyAggregate(kind);
-  return series_.Aggregate(*sid, interval, kind);
+  return series_store().Aggregate(*sid, interval, kind);
 }
 
-Result<double> PolyglotStore::EdgeSeriesAggregate(graph::EdgeId e,
-                                                  const std::string& key,
-                                                  const Interval& interval,
-                                                  ts::AggKind kind) const {
-  auto sid = ResolveLocked(/*vertex=*/false, e, key);
-  if (!sid.ok()) return EmptyAggregate(kind);
-  return series_.Aggregate(*sid, interval, kind);
-}
-
-std::vector<Result<double>> PolyglotStore::VertexSeriesAggregateBatch(
-    const std::vector<graph::VertexId>& vertices, const std::string& key,
-    const Interval& interval, ts::AggKind kind) const {
+std::vector<Result<double>> PolyglotStore::SeriesAggregateBatch(
+    const std::vector<query::SeriesSlot>& slots, const Interval& interval,
+    ts::AggKind kind) const {
+  // Absent slots keep the EmptyAggregate placeholder (matching
+  // SeriesAggregate); present ones are recorded as (series, answer index)
+  // pairs, all resolved under one hold of the guard.
+  std::vector<Result<double>> out(slots.size(), EmptyAggregate(kind));
   std::vector<SeriesId> present;
-  std::vector<size_t> slot;
-  std::vector<Result<double>> out;
-  {
-    // Resolve under one brief shared hold instead of per-entity locking;
-    // the aggregate itself runs unlocked against the per-series shards.
-    SharedLock lock(*store_mu_);
-    out = PlanAggregateBatch(maps_->vertex, vertices, key, kind, &present,
-                             &slot);
+  std::vector<size_t> at;
+  present.reserve(slots.size());
+  at.reserve(slots.size());
+  Read([&](const graph::PropertyGraph&, const SeriesMap& map) {
+    for (size_t i = 0; i < slots.size(); ++i) {
+      auto sid = ResolveIn(map, slots[i]);
+      if (!sid.ok()) continue;
+      present.push_back(*sid);
+      at.push_back(i);
+    }
+  });
+  if (present.empty()) return out;
+  // The hypertable aggregates the series one after another, unlocked
+  // against the per-series shards. A batch-wide failure (cancellation,
+  // deadline, budget) overwrites every answer; per-series errors come back
+  // inside the results themselves.
+  std::vector<Result<double>> results;
+  const Status batch =
+      series_store().AggregateMany(present, interval, kind, &results);
+  if (!batch.ok()) {
+    for (auto& r : out) r = batch;
+    return out;
   }
-  ScatterAggregateBatch(series_, interval, kind, present, slot, &out);
+  for (size_t i = 0; i < present.size(); ++i) {
+    out[at[i]] = std::move(results[i]);
+  }
   return out;
 }
 
-std::vector<Result<double>> PolyglotStore::EdgeSeriesAggregateBatch(
-    const std::vector<graph::EdgeId>& edges, const std::string& key,
-    const Interval& interval, ts::AggKind kind) const {
-  std::vector<SeriesId> present;
-  std::vector<size_t> slot;
-  std::vector<Result<double>> out;
-  {
-    SharedLock lock(*store_mu_);
-    out = PlanAggregateBatch(maps_->edge, edges, key, kind, &present, &slot);
-  }
-  ScatterAggregateBatch(series_, interval, kind, present, slot, &out);
-  return out;
+Result<ts::Series> PolyglotStore::SeriesWindowAggregate(
+    const query::SeriesSlot& slot, const Interval& interval, Duration width,
+    ts::AggKind kind) const {
+  auto sid = Resolve(slot);
+  if (!sid.ok()) return ts::Series(slot.key);
+  return series_store().WindowAggregate(*sid, interval, width, kind);
 }
 
-Result<size_t> PolyglotStore::VertexSeriesCountInRange(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    double min_value, double max_value) const {
-  auto sid = ResolveLocked(/*vertex=*/true, v, key);
+Result<size_t> PolyglotStore::SeriesCountInRange(
+    const query::SeriesSlot& slot, const Interval& interval, double min_value,
+    double max_value) const {
+  auto sid = Resolve(slot);
   if (!sid.ok()) return size_t{0};  // missing series counts like an empty one
-  return series_.CountMatching(*sid, interval,
-                               ts::ScanPredicate{min_value, max_value});
-}
-
-Result<size_t> PolyglotStore::EdgeSeriesCountInRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    double min_value, double max_value) const {
-  auto sid = ResolveLocked(/*vertex=*/false, e, key);
-  if (!sid.ok()) return size_t{0};
-  return series_.CountMatching(*sid, interval,
-                               ts::ScanPredicate{min_value, max_value});
-}
-
-Result<ts::Series> PolyglotStore::VertexSeriesWindowAggregate(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  auto sid = ResolveLocked(/*vertex=*/true, v, key);
-  if (!sid.ok()) return ts::Series(key);
-  return series_.WindowAggregate(*sid, interval, width, kind);
-}
-
-Result<ts::Series> PolyglotStore::EdgeSeriesWindowAggregate(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  auto sid = ResolveLocked(/*vertex=*/false, e, key);
-  if (!sid.ok()) return ts::Series(key);
-  return series_.WindowAggregate(*sid, interval, width, kind);
+  return series_store().CountMatching(*sid, interval,
+                                      ts::ScanPredicate{min_value, max_value});
 }
 
 }  // namespace hygraph::storage

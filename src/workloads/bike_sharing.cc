@@ -128,10 +128,10 @@ Result<std::vector<graph::VertexId>> LoadIntoBackend(
     station_ids.push_back(g->AddVertex({"Station"}, std::move(props)));
   }
   for (const StationRecord& station : dataset.stations) {
-    const graph::VertexId v = station_ids[&station - dataset.stations.data()];
+    const query::SeriesSlot slot{
+        true, station_ids[&station - dataset.stations.data()], "bikes"};
     for (const ts::Sample& s : station.bikes.samples()) {
-      HYGRAPH_RETURN_IF_ERROR(
-          backend->AppendVertexSample(v, "bikes", s.t, s.value));
+      HYGRAPH_RETURN_IF_ERROR(backend->AppendSample(slot, s.t, s.value));
     }
   }
   for (const TripRecord& trip : dataset.trips) {
@@ -140,9 +140,9 @@ Result<std::vector<graph::VertexId>> LoadIntoBackend(
     auto e = g->AddEdge(station_ids[trip.src], station_ids[trip.dst], "TRIP",
                         std::move(props));
     if (!e.ok()) return e.status();
+    const query::SeriesSlot slot{false, *e, "trips"};
     for (const ts::Sample& s : trip.daily_trips.samples()) {
-      HYGRAPH_RETURN_IF_ERROR(
-          backend->AppendEdgeSample(*e, "trips", s.t, s.value));
+      HYGRAPH_RETURN_IF_ERROR(backend->AppendSample(slot, s.t, s.value));
     }
   }
   return station_ids;

@@ -36,8 +36,8 @@ TEST(SampleKeyTest, LexicographicOrderMatchesTimeOrder) {
 TEST(AllInGraphTest, SamplesBecomeProperties) {
   AllInGraphStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({"S"}, {});
-  ASSERT_TRUE(store.AppendVertexSample(v, "bikes", 100, 1.5).ok());
-  ASSERT_TRUE(store.AppendVertexSample(v, "bikes", 200, 2.5).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, 100, 1.5).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, 200, 2.5).ok());
   // The property map of the vertex physically holds the samples.
   EXPECT_EQ((*store.topology().GetVertex(v))->properties.size(), 2u);
 }
@@ -46,10 +46,10 @@ TEST(AllInGraphTest, RangeScanFiltersAndSorts) {
   AllInGraphStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({"S"}, {});
   // Insert out of order: the scan must still come back time-sorted.
-  ASSERT_TRUE(store.AppendVertexSample(v, "bikes", 300, 3.0).ok());
-  ASSERT_TRUE(store.AppendVertexSample(v, "bikes", 100, 1.0).ok());
-  ASSERT_TRUE(store.AppendVertexSample(v, "bikes", 200, 2.0).ok());
-  auto series = store.VertexSeriesRange(v, "bikes", Interval{100, 300});
+  ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, 300, 3.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, 100, 1.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, 200, 2.0).ok());
+  auto series = store.SeriesRange({true, v, "bikes"}, Interval{100, 300});
   ASSERT_TRUE(series.ok());
   ASSERT_EQ(series->size(), 2u);
   EXPECT_EQ(series->at(0).t, 100);
@@ -59,10 +59,10 @@ TEST(AllInGraphTest, RangeScanFiltersAndSorts) {
 TEST(AllInGraphTest, MultipleSeriesKeysCoexist) {
   AllInGraphStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({"S"}, {});
-  ASSERT_TRUE(store.AppendVertexSample(v, "bikes", 100, 1.0).ok());
-  ASSERT_TRUE(store.AppendVertexSample(v, "docks", 100, 9.0).ok());
-  auto bikes = store.VertexSeriesRange(v, "bikes", Interval::All());
-  auto docks = store.VertexSeriesRange(v, "docks", Interval::All());
+  ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, 100, 1.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "docks"}, 100, 9.0).ok());
+  auto bikes = store.SeriesRange({true, v, "bikes"}, Interval::All());
+  auto docks = store.SeriesRange({true, v, "docks"}, Interval::All());
   ASSERT_TRUE(bikes.ok());
   ASSERT_TRUE(docks.ok());
   EXPECT_EQ(bikes->size(), 1u);
@@ -73,8 +73,8 @@ TEST(AllInGraphTest, StaticPropertiesDoNotPolluteSeries) {
   AllInGraphStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex(
       {"S"}, {{"name", Value("S1")}, {"capacity", Value(30)}});
-  ASSERT_TRUE(store.AppendVertexSample(v, "bikes", 100, 1.0).ok());
-  auto series = store.VertexSeriesRange(v, "bikes", Interval::All());
+  ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, 100, 1.0).ok());
+  auto series = store.SeriesRange({true, v, "bikes"}, Interval::All());
   ASSERT_TRUE(series.ok());
   EXPECT_EQ(series->size(), 1u);
   // And series properties do not break static reads.
@@ -87,8 +87,8 @@ TEST(AllInGraphTest, EdgeSeries) {
   const graph::VertexId a = g->AddVertex({}, {});
   const graph::VertexId b = g->AddVertex({}, {});
   const graph::EdgeId e = *g->AddEdge(a, b, "TRIP", {});
-  ASSERT_TRUE(store.AppendEdgeSample(e, "trips", 50, 7.0).ok());
-  auto series = store.EdgeSeriesRange(e, "trips", Interval::All());
+  ASSERT_TRUE(store.AppendSample({false, e, "trips"}, 50, 7.0).ok());
+  auto series = store.SeriesRange({false, e, "trips"}, Interval::All());
   ASSERT_TRUE(series.ok());
   EXPECT_DOUBLE_EQ(series->at(0).value, 7.0);
 }
@@ -96,9 +96,9 @@ TEST(AllInGraphTest, EdgeSeries) {
 TEST(AllInGraphTest, DuplicateTimestampOverwrites) {
   AllInGraphStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({}, {});
-  ASSERT_TRUE(store.AppendVertexSample(v, "x", 100, 1.0).ok());
-  ASSERT_TRUE(store.AppendVertexSample(v, "x", 100, 2.0).ok());
-  auto series = store.VertexSeriesRange(v, "x", Interval::All());
+  ASSERT_TRUE(store.AppendSample({true, v, "x"}, 100, 1.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "x"}, 100, 2.0).ok());
+  auto series = store.SeriesRange({true, v, "x"}, Interval::All());
   ASSERT_TRUE(series.ok());
   ASSERT_EQ(series->size(), 1u);
   EXPECT_DOUBLE_EQ(series->at(0).value, 2.0);
@@ -106,15 +106,15 @@ TEST(AllInGraphTest, DuplicateTimestampOverwrites) {
 
 TEST(AllInGraphTest, UnknownEntityFails) {
   AllInGraphStore store;
-  EXPECT_FALSE(store.AppendVertexSample(7, "x", 1, 1.0).ok());
-  EXPECT_FALSE(store.VertexSeriesRange(7, "x", Interval::All()).ok());
-  EXPECT_FALSE(store.AppendEdgeSample(7, "x", 1, 1.0).ok());
+  EXPECT_FALSE(store.AppendSample({true, 7, "x"}, 1, 1.0).ok());
+  EXPECT_FALSE(store.SeriesRange({true, 7, "x"}, Interval::All()).ok());
+  EXPECT_FALSE(store.AppendSample({false, 7, "x"}, 1, 1.0).ok());
 }
 
 TEST(AllInGraphTest, MissingSeriesIsEmptyNotError) {
   AllInGraphStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({}, {});
-  auto series = store.VertexSeriesRange(v, "nothing", Interval::All());
+  auto series = store.SeriesRange({true, v, "nothing"}, Interval::All());
   ASSERT_TRUE(series.ok());
   EXPECT_TRUE(series->empty());
 }
@@ -123,14 +123,14 @@ TEST(AllInGraphTest, DefaultAggregateGoesThroughScan) {
   AllInGraphStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({}, {});
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(store.AppendVertexSample(v, "x", i * 10, i).ok());
+    ASSERT_TRUE(store.AppendSample({true, v, "x"}, i * 10, i).ok());
   }
-  auto avg =
-      store.VertexSeriesAggregate(v, "x", Interval{0, 100}, ts::AggKind::kAvg);
+  auto avg = store.SeriesAggregate({true, v, "x"}, Interval{0, 100},
+                                   ts::AggKind::kAvg);
   ASSERT_TRUE(avg.ok());
   EXPECT_DOUBLE_EQ(*avg, 4.5);
-  auto count = store.VertexSeriesAggregate(v, "x", Interval{50, 100},
-                                           ts::AggKind::kCount);
+  auto count = store.SeriesAggregate({true, v, "x"}, Interval{50, 100},
+                                     ts::AggKind::kCount);
   EXPECT_DOUBLE_EQ(*count, 5.0);
 }
 

@@ -196,24 +196,25 @@ TEST(DurableForwardingTest, BatchAndCountPushdownReachTheInnerStore) {
     }
     auto link = store.AddEdge(sensors[0], sensors[1], "LINK", {});
     ASSERT_TRUE(link.ok());
-    const std::vector<graph::EdgeId> links = {*link};
+    const std::vector<query::SeriesSlot> links = {{false, *link, "load"}};
     for (Timestamp t = 0; t < 500; t += 10) {
       for (size_t i = 0; i < sensors.size(); ++i) {
         ASSERT_TRUE(store
-                        .AppendVertexSample(sensors[i], "temp", t,
-                                            100.0 * i + t % 100)
+                        .AppendSample({true, sensors[i], "temp"}, t,
+                                      100.0 * i + t % 100)
                         .ok());
       }
-      ASSERT_TRUE(store.AppendEdgeSample(*link, "load", t, t % 70).ok());
+      ASSERT_TRUE(store.AppendSample({false, *link, "load"}, t, t % 70).ok());
     }
     const query::QueryBackend& inner = *store.inner();
     const Interval all{0, 1000};
 
     const ts::AggKind avg = ts::AggKind::kAvg;
-    auto vertex_batch =
-        store.VertexSeriesAggregateBatch(sensors, "temp", all, avg);
+    std::vector<query::SeriesSlot> sensor_slots;
+    for (graph::VertexId v : sensors) sensor_slots.push_back({true, v, "temp"});
+    auto vertex_batch = store.SeriesAggregateBatch(sensor_slots, all, avg);
     auto inner_vertex_batch =
-        inner.VertexSeriesAggregateBatch(sensors, "temp", all, avg);
+        inner.SeriesAggregateBatch(sensor_slots, all, avg);
     ASSERT_EQ(vertex_batch.size(), sensors.size());
     ASSERT_EQ(inner_vertex_batch.size(), sensors.size());
     for (size_t i = 0; i < sensors.size(); ++i) {
@@ -222,9 +223,9 @@ TEST(DurableForwardingTest, BatchAndCountPushdownReachTheInnerStore) {
       EXPECT_EQ(*vertex_batch[i], *inner_vertex_batch[i]);
     }
     auto edge_batch =
-        store.EdgeSeriesAggregateBatch(links, "load", all, ts::AggKind::kMax);
+        store.SeriesAggregateBatch(links, all, ts::AggKind::kMax);
     auto inner_edge_batch =
-        inner.EdgeSeriesAggregateBatch(links, "load", all, ts::AggKind::kMax);
+        inner.SeriesAggregateBatch(links, all, ts::AggKind::kMax);
     ASSERT_EQ(edge_batch.size(), 1u);
     ASSERT_EQ(inner_edge_batch.size(), 1u);
     ASSERT_TRUE(edge_batch[0].ok());
@@ -237,26 +238,27 @@ TEST(DurableForwardingTest, BatchAndCountPushdownReachTheInnerStore) {
         inner.metrics()->counter("hypertable.chunks_zonemap_skipped");
     const uint64_t skipped_before = skipped->value();
     auto none =
-        store.VertexSeriesCountInRange(sensors[2], "temp", all, 1000, 2000);
+        store.SeriesCountInRange({true, sensors[2], "temp"}, all, 1000, 2000);
     ASSERT_TRUE(none.ok());
     EXPECT_EQ(*none, 0u);
     EXPECT_GT(skipped->value(), skipped_before);
     auto inner_none =
-        inner.VertexSeriesCountInRange(sensors[2], "temp", all, 1000, 2000);
+        inner.SeriesCountInRange({true, sensors[2], "temp"}, all, 1000, 2000);
     ASSERT_TRUE(inner_none.ok());
     EXPECT_EQ(*none, *inner_none);
 
     auto some =
-        store.VertexSeriesCountInRange(sensors[1], "temp", all, 120, 160);
+        store.SeriesCountInRange({true, sensors[1], "temp"}, all, 120, 160);
     auto inner_some =
-        inner.VertexSeriesCountInRange(sensors[1], "temp", all, 120, 160);
+        inner.SeriesCountInRange({true, sensors[1], "temp"}, all, 120, 160);
     ASSERT_TRUE(some.ok());
     ASSERT_TRUE(inner_some.ok());
     EXPECT_GT(*some, 0u);
     EXPECT_EQ(*some, *inner_some);
-    auto edge_count = store.EdgeSeriesCountInRange(*link, "load", all, 0, 30);
+    auto edge_count =
+        store.SeriesCountInRange({false, *link, "load"}, all, 0, 30);
     auto inner_edge_count =
-        inner.EdgeSeriesCountInRange(*link, "load", all, 0, 30);
+        inner.SeriesCountInRange({false, *link, "load"}, all, 0, 30);
     ASSERT_TRUE(edge_count.ok());
     ASSERT_TRUE(inner_edge_count.ok());
     EXPECT_GT(*edge_count, 0u);

@@ -93,7 +93,7 @@ TEST(BikeSharingTest, LoadIntoBackend) {
   EXPECT_EQ(store.topology().VertexCount(), 16u);
   EXPECT_EQ(store.topology().EdgeCount(), dataset->trips.size());
   auto series =
-      store.VertexSeriesRange((*stations)[3], "bikes", Interval::All());
+      store.SeriesRange({true, (*stations)[3], "bikes"}, Interval::All());
   ASSERT_TRUE(series.ok());
   EXPECT_EQ(series->size(), 48u);
   EXPECT_EQ(*series, dataset->stations[3].bikes);

@@ -75,9 +75,9 @@ Status ApplyDurable(DurableStore* store, const Op& op) {
     case Op::kSetVertexProp:
       return store->SetVertexProperty(op.a, "flag", Value(true));
     case Op::kAppendVertexSample:
-      return store->AppendVertexSample(op.a, "temp", op.t, op.value);
+      return store->AppendSample({true, op.a, "temp"}, op.t, op.value);
     case Op::kAppendEdgeSample:
-      return store->AppendEdgeSample(op.a, "load", op.t, op.value);
+      return store->AppendSample({false, op.a, "load"}, op.t, op.value);
   }
   return Status::Internal("unreachable");
 }
@@ -94,9 +94,9 @@ Status ApplyOracle(query::QueryBackend* backend, const Op& op) {
       return backend->mutable_topology()->SetVertexProperty(op.a, "flag",
                                                             Value(true));
     case Op::kAppendVertexSample:
-      return backend->AppendVertexSample(op.a, "temp", op.t, op.value);
+      return backend->AppendSample({true, op.a, "temp"}, op.t, op.value);
     case Op::kAppendEdgeSample:
-      return backend->AppendEdgeSample(op.a, "load", op.t, op.value);
+      return backend->AppendSample({false, op.a, "load"}, op.t, op.value);
   }
   return Status::Internal("unreachable");
 }
@@ -221,7 +221,7 @@ ChaosOutcome RunSchedule(
 
   // Every mutation now fails fast with kUnavailable — no retry loop, no
   // partial application.
-  Status rejected = store.AppendVertexSample(0, "temp", 9'999, 3.5);
+  Status rejected = store.AppendSample({true, 0, "temp"}, 9'999, 3.5);
   EXPECT_TRUE(rejected.IsUnavailable()) << rejected.ToString();
   EXPECT_TRUE(store.AddVertex({"L"}, {}).status().IsUnavailable());
 
@@ -237,7 +237,7 @@ ChaosOutcome RunSchedule(
   EXPECT_TRUE(exit.ok()) << exit.ToString();
   EXPECT_FALSE(store.degraded());
   EXPECT_EQ(store.metrics()->gauge("durable.degraded")->value(), 0.0);
-  EXPECT_TRUE(store.AppendVertexSample(0, "temp", 10'000, 4.5).ok());
+  EXPECT_TRUE(store.AppendSample({true, 0, "temp"}, 10'000, 4.5).ok());
 
   // The directory the degraded store left behind reopens cleanly and
   // agrees with the live store — no data loss across the whole episode.

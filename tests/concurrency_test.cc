@@ -365,7 +365,7 @@ TEST(ConcurrencyTest, PolyglotConcurrentAppendAndQuery) {
         const auto v = vertices[static_cast<size_t>(
             (w * kStations / kWriters) + i % (kStations / kWriters))];
         const Timestamp t = static_cast<Timestamp>(i) * 11;
-        if (!store.AppendVertexSample(v, "bikes", t, ExpectedValue(t)).ok()) {
+        if (!store.AppendSample({true, v, "bikes"}, t, ExpectedValue(t)).ok()) {
           failures.fetch_add(1);
         }
       }
@@ -388,8 +388,8 @@ TEST(ConcurrencyTest, PolyglotConcurrentAppendAndQuery) {
 
   // Every appended sample landed exactly once.
   for (int i = 0; i < kStations; ++i) {
-    auto series = store.VertexSeriesRange(vertices[static_cast<size_t>(i)],
-                                          "bikes", Interval{});
+    auto series = store.SeriesRange(
+        {true, vertices[static_cast<size_t>(i)], "bikes"}, Interval{});
     ASSERT_TRUE(series.ok());
     for (const Sample& s : series->samples()) {
       ASSERT_EQ(s.value, ExpectedValue(s.t));
@@ -417,7 +417,8 @@ TEST(ConcurrencyTest, AllInGraphMutateTopologyVersusSnapshots) {
   const graph::VertexId v0 = store.topology().VertexIds().front();
   for (int i = 0; i < 50; ++i) {
     const Timestamp t = static_cast<Timestamp>(i) * 10;
-    ASSERT_TRUE(store.AppendVertexSample(v0, "bikes", t, ExpectedValue(t)).ok());
+    ASSERT_TRUE(
+        store.AppendSample({true, v0, "bikes"}, t, ExpectedValue(t)).ok());
   }
 
   // Bounded mutation stream (a free-running mutator on the single-core
@@ -434,7 +435,7 @@ TEST(ConcurrencyTest, AllInGraphMutateTopologyVersusSnapshots) {
                       .ok());
       const Timestamp t = static_cast<Timestamp>(500 + i) * 10;
       ASSERT_TRUE(
-          store.AppendVertexSample(v0, "bikes", t, ExpectedValue(t)).ok());
+          store.AppendSample({true, v0, "bikes"}, t, ExpectedValue(t)).ok());
     }
   });
 
@@ -442,13 +443,13 @@ TEST(ConcurrencyTest, AllInGraphMutateTopologyVersusSnapshots) {
     auto snapshot = store.BeginSnapshot();
     ASSERT_NE(snapshot, nullptr);
     const size_t vertices = snapshot->topology().VertexCount();
-    auto series = snapshot->VertexSeriesRange(v0, "bikes", Interval{});
+    auto series = snapshot->SeriesRange({true, v0, "bikes"}, Interval{});
     ASSERT_TRUE(series.ok());
     const size_t samples = series->size();
     // Re-reads of the same pinned view observe the identical state even
     // though the live store keeps growing underneath.
     ASSERT_EQ(snapshot->topology().VertexCount(), vertices);
-    auto again = snapshot->VertexSeriesRange(v0, "bikes", Interval{});
+    auto again = snapshot->SeriesRange({true, v0, "bikes"}, Interval{});
     ASSERT_TRUE(again.ok());
     ASSERT_EQ(again->size(), samples);
     // Live statements stay well-formed throughout.
@@ -510,8 +511,9 @@ TEST(ConcurrencyTest, DurableConcurrentWritersThenReopen) {
         for (int i = 0; i < kPerWriter; ++i) {
           const Timestamp t = static_cast<Timestamp>(i) * 13;
           if (!store
-                   .AppendVertexSample(vertices[static_cast<size_t>(w)],
-                                       "load", t, ExpectedValue(t))
+                   .AppendSample(
+                       {true, vertices[static_cast<size_t>(w)], "load"}, t,
+                       ExpectedValue(t))
                    .ok()) {
             failures.fetch_add(1);
           }
@@ -533,7 +535,7 @@ TEST(ConcurrencyTest, DurableConcurrentWritersThenReopen) {
             static_cast<size_t>(kWriters + kWriters * kPerWriter));
   EXPECT_EQ(reopened.topology().VertexCount(), static_cast<size_t>(kWriters));
   for (graph::VertexId v : reopened.topology().VertexIds()) {
-    auto series = reopened.VertexSeriesRange(v, "load", Interval{});
+    auto series = reopened.SeriesRange({true, v, "load"}, Interval{});
     ASSERT_TRUE(series.ok());
     EXPECT_EQ(series->size(), static_cast<size_t>(kPerWriter));
     for (const Sample& s : series->samples()) {

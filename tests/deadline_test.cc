@@ -322,7 +322,8 @@ TEST(DeadlineScanTest, BothArchitecturesCutSeriesScans) {
     const graph::VertexId v =
         store->mutable_topology()->AddVertex({"V"}, {{"id", Value(1)}});
     for (int i = 0; i < 4'000; ++i) {
-      ASSERT_TRUE(store->AppendVertexSample(v, "load", i * kMinute, 1.0).ok());
+      ASSERT_TRUE(
+          store->AppendSample({true, v, "load"}, i * kMinute, 1.0).ok());
     }
 
     auto ast = Parse("MATCH (n:V) RETURN ts_sum(n.load, 0, 900000000)");

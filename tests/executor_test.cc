@@ -29,10 +29,11 @@ class ExecutorTest : public ::testing::Test {
     // with s2).
     for (int i = 0; i < 10; ++i) {
       const Timestamp t = i * kHour;
-      ASSERT_TRUE(store_.AppendVertexSample(s1_, "bikes", t, 5.0).ok());
-      ASSERT_TRUE(store_.AppendVertexSample(s2_, "bikes", t, i).ok());
-      ASSERT_TRUE(store_.AppendVertexSample(s3_, "bikes", t, 2.0 * i).ok());
-      ASSERT_TRUE(store_.AppendEdgeSample(trip12_, "trips", t, 1.0 + i).ok());
+      ASSERT_TRUE(store_.AppendSample({true, s1_, "bikes"}, t, 5.0).ok());
+      ASSERT_TRUE(store_.AppendSample({true, s2_, "bikes"}, t, i).ok());
+      ASSERT_TRUE(store_.AppendSample({true, s3_, "bikes"}, t, 2.0 * i).ok());
+      ASSERT_TRUE(
+          store_.AppendSample({false, trip12_, "trips"}, t, 1.0 + i).ok());
     }
   }
 

@@ -62,9 +62,9 @@ Status ApplyDurable(DurableStore* store, const Op& op) {
     case Op::kSetVertexProp:
       return store->SetVertexProperty(op.a, "flag", Value(true));
     case Op::kAppendVertexSample:
-      return store->AppendVertexSample(op.a, "temp", op.t, op.value);
+      return store->AppendSample({true, op.a, "temp"}, op.t, op.value);
     case Op::kAppendEdgeSample:
-      return store->AppendEdgeSample(op.a, "load", op.t, op.value);
+      return store->AppendSample({false, op.a, "load"}, op.t, op.value);
   }
   return Status::Internal("unreachable");
 }
@@ -82,9 +82,9 @@ Status ApplyOracle(query::QueryBackend* backend, const Op& op) {
       return backend->mutable_topology()->SetVertexProperty(op.a, "flag",
                                                             Value(true));
     case Op::kAppendVertexSample:
-      return backend->AppendVertexSample(op.a, "temp", op.t, op.value);
+      return backend->AppendSample({true, op.a, "temp"}, op.t, op.value);
     case Op::kAppendEdgeSample:
-      return backend->AppendEdgeSample(op.a, "load", op.t, op.value);
+      return backend->AppendSample({false, op.a, "load"}, op.t, op.value);
   }
   return Status::Internal("unreachable");
 }
@@ -187,7 +187,7 @@ TEST_P(FaultMatrixTest, RecoveredStateMatchesAckedPrefixForEveryCrashPoint) {
     // functional epoch, not a read-only wreck.
     if (recovered.topology().VertexCount() >= 1) {
       EXPECT_TRUE(
-          recovered.AppendVertexSample(0, "temp", 9000, 1.0).ok());
+          recovered.AppendSample({true, 0, "temp"}, 9000, 1.0).ok());
     }
   }
   // The matrix must actually exercise torn tails under kKeepPrefix.

@@ -65,8 +65,8 @@ TEST_F(GroupCommitTest, SingleThreadCommitSyncsEachBatch) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(committer
                     .Commit([&] {
-                      return store->AppendVertexSample(*v, "load", 1000 * i,
-                                                       double(i));
+                      return store->AppendSample({true, *v, "load"}, 1000 * i,
+                                                 double(i));
                     })
                     .ok());
   }
@@ -106,7 +106,7 @@ TEST_F(GroupCommitTest, ConcurrentWritersShareSyncsAndSurviveReopen) {
         for (int i = 0; i < kAppendsPerWriter; ++i) {
           const Timestamp t = (int64_t{w} * kAppendsPerWriter + i) * 100;
           const Status status = committer.Commit([&] {
-            return store->AppendVertexSample(vertex, "load", t, double(w));
+            return store->AppendSample({true, vertex, "load"}, t, double(w));
           });
           if (!status.ok()) failures.fetch_add(1);
         }
@@ -162,7 +162,7 @@ TEST_F(GroupCommitTest, NoSyncCommitSkipsTheWait) {
   GroupCommitter committer(store.get());
   ASSERT_TRUE(committer
                   .CommitNoSync([&] {
-                    return store->AppendVertexSample(*v, "load", 1, 1.0);
+                    return store->AppendSample({true, *v, "load"}, 1, 1.0);
                   })
                   .ok());
   EXPECT_EQ(committer.batches(), 0u);

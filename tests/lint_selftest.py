@@ -35,6 +35,7 @@ EXPECTED = {
     ("src/obs/layering_bad.h", 4, "layering"),
     ("src/server/socket_bad.cc", 3, "raw-socket"),
     ("src/storage/fileio_bad.cc", 3, "raw-file-io"),
+    ("src/storage/snapshot_bad.cc", 5, "backend-subclass"),
     ("src/storage/unranked_bad.h", 10, "unranked-lock"),
 }
 

@@ -9,12 +9,12 @@ TEST(PolyglotTest, SeriesLiveInHypertableNotProperties) {
   PolyglotStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({"S"}, {});
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(store.AppendVertexSample(v, "bikes", i * kMinute, i).ok());
+    ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, i * kMinute, i).ok());
   }
   // Topology properties stay clean — the green path's whole point.
   EXPECT_TRUE((*store.topology().GetVertex(v))->properties.empty());
   EXPECT_EQ(store.series_store().series_count(), 1u);
-  auto series = store.VertexSeriesRange(v, "bikes", Interval::All());
+  auto series = store.SeriesRange({true, v, "bikes"}, Interval::All());
   ASSERT_TRUE(series.ok());
   EXPECT_EQ(series->size(), 10u);
 }
@@ -25,11 +25,12 @@ TEST(PolyglotTest, NativeAggregateUsesChunks) {
   PolyglotStore store(ts_options);
   const graph::VertexId v = store.mutable_topology()->AddVertex({"S"}, {});
   for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(store.AppendVertexSample(v, "bikes", i * kMinute, 1.0).ok());
+    ASSERT_TRUE(store.AppendSample({true, v, "bikes"}, i * kMinute, 1.0).ok());
   }
   store.mutable_series_store()->ResetStats();
-  auto sum = store.VertexSeriesAggregate(v, "bikes", Interval{0, 600 * kMinute},
-                                         ts::AggKind::kSum);
+  auto sum = store.SeriesAggregate({true, v, "bikes"},
+                                   Interval{0, 600 * kMinute},
+                                   ts::AggKind::kSum);
   ASSERT_TRUE(sum.ok());
   EXPECT_DOUBLE_EQ(*sum, 600.0);
   // Fully-covered chunks answered from the cache, zero samples touched.
@@ -40,10 +41,10 @@ TEST(PolyglotTest, NativeAggregateUsesChunks) {
 TEST(PolyglotTest, PerKeySeriesSeparation) {
   PolyglotStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({}, {});
-  ASSERT_TRUE(store.AppendVertexSample(v, "a", 1, 1.0).ok());
-  ASSERT_TRUE(store.AppendVertexSample(v, "b", 1, 2.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "a"}, 1, 1.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "b"}, 1, 2.0).ok());
   EXPECT_EQ(store.series_store().series_count(), 2u);
-  auto a = store.VertexSeriesRange(v, "a", Interval::All());
+  auto a = store.SeriesRange({true, v, "a"}, Interval::All());
   ASSERT_TRUE(a.ok());
   EXPECT_DOUBLE_EQ(a->at(0).value, 1.0);
 }
@@ -54,9 +55,9 @@ TEST(PolyglotTest, EdgeSeries) {
   const graph::VertexId a = g->AddVertex({}, {});
   const graph::VertexId b = g->AddVertex({}, {});
   const graph::EdgeId e = *g->AddEdge(a, b, "TRIP", {});
-  ASSERT_TRUE(store.AppendEdgeSample(e, "trips", 10, 3.0).ok());
-  auto agg =
-      store.EdgeSeriesAggregate(e, "trips", Interval::All(), ts::AggKind::kSum);
+  ASSERT_TRUE(store.AppendSample({false, e, "trips"}, 10, 3.0).ok());
+  auto agg = store.SeriesAggregate({false, e, "trips"}, Interval::All(),
+                                   ts::AggKind::kSum);
   ASSERT_TRUE(agg.ok());
   EXPECT_DOUBLE_EQ(*agg, 3.0);
 }
@@ -64,30 +65,30 @@ TEST(PolyglotTest, EdgeSeries) {
 TEST(PolyglotTest, MissingSeriesBehavesLikeEmpty) {
   PolyglotStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({}, {});
-  auto series = store.VertexSeriesRange(v, "nothing", Interval::All());
+  auto series = store.SeriesRange({true, v, "nothing"}, Interval::All());
   ASSERT_TRUE(series.ok());
   EXPECT_TRUE(series->empty());
-  auto count = store.VertexSeriesAggregate(v, "nothing", Interval::All(),
-                                           ts::AggKind::kCount);
+  auto count = store.SeriesAggregate({true, v, "nothing"}, Interval::All(),
+                                     ts::AggKind::kCount);
   ASSERT_TRUE(count.ok());
   EXPECT_DOUBLE_EQ(*count, 0.0);
-  EXPECT_FALSE(store.VertexSeriesAggregate(v, "nothing", Interval::All(),
-                                           ts::AggKind::kAvg)
+  EXPECT_FALSE(store.SeriesAggregate({true, v, "nothing"}, Interval::All(),
+                                     ts::AggKind::kAvg)
                    .ok());
 }
 
 TEST(PolyglotTest, UnknownEntityFails) {
   PolyglotStore store;
-  EXPECT_FALSE(store.AppendVertexSample(5, "x", 1, 1.0).ok());
-  EXPECT_FALSE(store.AppendEdgeSample(5, "x", 1, 1.0).ok());
+  EXPECT_FALSE(store.AppendSample({true, 5, "x"}, 1, 1.0).ok());
+  EXPECT_FALSE(store.AppendSample({false, 5, "x"}, 1, 1.0).ok());
 }
 
 TEST(PolyglotTest, OutOfOrderIngestion) {
   PolyglotStore store;
   const graph::VertexId v = store.mutable_topology()->AddVertex({}, {});
-  ASSERT_TRUE(store.AppendVertexSample(v, "x", 300, 3.0).ok());
-  ASSERT_TRUE(store.AppendVertexSample(v, "x", 100, 1.0).ok());
-  auto series = store.VertexSeriesRange(v, "x", Interval::All());
+  ASSERT_TRUE(store.AppendSample({true, v, "x"}, 300, 3.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, v, "x"}, 100, 1.0).ok());
+  auto series = store.SeriesRange({true, v, "x"}, Interval::All());
   ASSERT_TRUE(series.ok());
   EXPECT_EQ(series->at(0).t, 100);
   EXPECT_EQ(series->at(1).t, 300);

@@ -27,9 +27,9 @@ void Populate(QueryBackend* store) {
   ASSERT_TRUE(g->AddEdge(s2, s3, "TRIP", {}).ok());
   for (int i = 0; i < 10; ++i) {
     const Timestamp t = i * kHour;
-    ASSERT_TRUE(store->AppendVertexSample(s1, "bikes", t, 5.0).ok());
-    ASSERT_TRUE(store->AppendVertexSample(s2, "bikes", t, i).ok());
-    ASSERT_TRUE(store->AppendVertexSample(s3, "bikes", t, 2.0 * i).ok());
+    ASSERT_TRUE(store->AppendSample({true, s1, "bikes"}, t, 5.0).ok());
+    ASSERT_TRUE(store->AppendSample({true, s2, "bikes"}, t, i).ok());
+    ASSERT_TRUE(store->AppendSample({true, s3, "bikes"}, t, 2.0 * i).ok());
   }
 }
 

@@ -63,9 +63,9 @@ class RecoveryTest : public ::testing::TestWithParam<Arch> {
     ASSERT_TRUE(store->SetEdgeProperty(*e0, "toll", Value(2.5)).ok());
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(
-          store->AppendVertexSample(*v0, "temp", 100 + i, 20.0 + i).ok());
+          store->AppendSample({true, *v0, "temp"}, 100 + i, 20.0 + i).ok());
       ASSERT_TRUE(
-          store->AppendEdgeSample(*e0, "load", 200 + i, 0.5 * i).ok());
+          store->AppendSample({false, *e0, "load"}, 200 + i, 0.5 * i).ok());
     }
   }
 
@@ -109,7 +109,7 @@ TEST_P(RecoveryTest, CheckpointPlusTailReplay) {
     Ingest(store.get());
     ASSERT_TRUE(store->Checkpoint().ok());
     // Post-checkpoint tail that only the WAL covers.
-    ASSERT_TRUE(store->AppendVertexSample(0, "temp", 500, 99.0).ok());
+    ASSERT_TRUE(store->AppendSample({true, 0, "temp"}, 500, 99.0).ok());
     ASSERT_TRUE(store->SetVertexProperty(1, "open", Value(false)).ok());
     before = Signature(*store->inner());
     seq_before = store->next_seq();
@@ -129,9 +129,9 @@ TEST_P(RecoveryTest, RepeatedCheckpointsKeepOnlyNewestSnapshot) {
   ASSERT_TRUE(store->Open().ok());
   Ingest(store.get());
   ASSERT_TRUE(store->Checkpoint().ok());
-  ASSERT_TRUE(store->AppendVertexSample(0, "temp", 500, 1.0).ok());
+  ASSERT_TRUE(store->AppendSample({true, 0, "temp"}, 500, 1.0).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
-  ASSERT_TRUE(store->AppendVertexSample(0, "temp", 501, 2.0).ok());
+  ASSERT_TRUE(store->AppendSample({true, 0, "temp"}, 501, 2.0).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
   std::vector<std::string> children;
   ASSERT_TRUE(env_->GetChildren(dir_, &children).ok());
@@ -184,7 +184,7 @@ TEST_P(RecoveryTest, AutoCheckpointTriggersAndDefersAfterRemovals) {
   // Removals make ids sparse; subsequent auto-checkpoints defer silently.
   ASSERT_TRUE(store->RemoveVertex(1).ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(store->AppendVertexSample(0, "temp", 1000 + i, 1.0).ok());
+    ASSERT_TRUE(store->AppendSample({true, 0, "temp"}, 1000 + i, 1.0).ok());
   }
   EXPECT_TRUE(store->background_error().ok());
 }
@@ -209,7 +209,7 @@ TEST_P(RecoveryTest, TornWalTailIsSalvagedOnOpen) {
   EXPECT_EQ(store->recovery().wal_records_replayed, 26u);
   // The salvaged state is the full state minus exactly the last mutation
   // (an edge sample): replaying it reproduces the original state.
-  ASSERT_TRUE(store->AppendEdgeSample(0, "load", 209, 0.5 * 9).ok());
+  ASSERT_TRUE(store->AppendSample({false, 0, "load"}, 209, 0.5 * 9).ok());
   EXPECT_EQ(Signature(*store->inner()), before);
 }
 
@@ -255,7 +255,7 @@ TEST_P(RecoveryTest, SnapshotTextRoundTripsBackendState) {
   ASSERT_TRUE(RestoreFromSnapshotText(*text, restored.get()).ok());
   EXPECT_EQ(Signature(*restored), *text);
   // Series round-trip specifically.
-  auto range = restored->VertexSeriesRange(0, "temp", Interval::All());
+  auto range = restored->SeriesRange({true, 0, "temp"}, Interval::All());
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(range->samples().size(), 10u);
   EXPECT_DOUBLE_EQ(range->samples()[3].value, 23.0);
@@ -280,7 +280,7 @@ TEST_P(RecoveryTest, MutationsBeforeOpenAreRejected) {
   auto store = MakeStore();
   EXPECT_EQ(store->AddVertex({}, {}).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store->AppendVertexSample(0, "k", 1, 1.0).code(),
+  EXPECT_EQ(store->AppendSample({true, 0, "k"}, 1, 1.0).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(store->Checkpoint().code(), StatusCode::kFailedPrecondition);
 }

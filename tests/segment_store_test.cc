@@ -149,7 +149,7 @@ class SegmentStoreTest : public ::testing::Test {
       ASSERT_TRUE(id.ok()) << id.status().ToString();
       for (int i = 0; i < 12; ++i) {
         ASSERT_TRUE(
-            store->AppendVertexSample(*id, "temp", i * 4, v + 0.5 * i).ok());
+            store->AppendSample({true, *id, "temp"}, i * 4, v + 0.5 * i).ok());
       }
     }
   }
@@ -158,7 +158,8 @@ class SegmentStoreTest : public ::testing::Test {
   static void ScanEverySeries(DurableStore* store, int series,
                               size_t samples = 12) {
     for (int v = 0; v < series; ++v) {
-      auto range = store->VertexSeriesRange(v, "temp", Interval::All());
+      auto range = store->SeriesRange(
+          {true, static_cast<uint64_t>(v), "temp"}, Interval::All());
       ASSERT_TRUE(range.ok()) << "vertex " << v << ": "
                               << range.status().ToString();
       ASSERT_EQ(range->samples().size(), samples) << "vertex " << v;
@@ -245,7 +246,7 @@ TEST_F(SegmentStoreTest, ScanReturnsAFailedOpenUnwrapped) {
   IngestSeries(store.get(), 2);
   ASSERT_TRUE(store->Checkpoint().ok());
   env.FailRandomOpens(true);
-  auto range = store->VertexSeriesRange(0, "temp", Interval::All());
+  auto range = store->SeriesRange({true, 0, "temp"}, Interval::All());
   ASSERT_FALSE(range.ok());
   EXPECT_EQ(range.status().code(), StatusCode::kIOError)
       << range.status().ToString();
@@ -373,10 +374,11 @@ TEST_F(SegmentStoreTest, ManyCheckpointFilesStayWithinALowDescriptorLimit) {
       // Four samples fill chunk `round` and seal the one before it.
       for (int v = 0; v < kSeries; ++v) {
         for (int i = 0; i < 4; ++i) {
-          ASSERT_TRUE(store
-                          ->AppendVertexSample(v, "temp", round * 16 + i * 4,
-                                               v + 0.5 * i)
-                          .ok());
+          ASSERT_TRUE(
+              store
+                  ->AppendSample({true, static_cast<uint64_t>(v), "temp"},
+                                 round * 16 + i * 4, v + 0.5 * i)
+                  .ok());
         }
       }
       const Status checkpoint = store->Checkpoint();

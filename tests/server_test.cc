@@ -50,7 +50,7 @@ class ServerTest : public ::testing::Test {
         store_->AddVertex({"Station"}, {{"city", Value("munich")}}).ok());
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(
-          store_->AppendVertexSample(vertex_, "load", 1000 * i, double(i))
+          store_->AppendSample({true, vertex_, "load"}, 1000 * i, double(i))
               .ok());
     }
   }
@@ -217,7 +217,7 @@ TEST_F(ServerTest, PinnedSessionStaysRepeatableAcrossCheckpointColdSpill) {
   auto v = tiered->AddVertex({"Station"}, {{"city", Value("berlin")}});
   ASSERT_TRUE(v.ok());
   for (int i = 0; i < 48; ++i) {
-    ASSERT_TRUE(tiered->AppendVertexSample(*v, "load", i * 4, 0.5 * i).ok());
+    ASSERT_TRUE(tiered->AppendSample({true, *v, "load"}, i * 4, 0.5 * i).ok());
   }
 
   HgqlServer server(tiered.get(), tiered.get(), ServerOptions{});

@@ -65,9 +65,9 @@ void MutateLive(QueryBackend* live, graph::VertexId station,
                   })
                   .ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(live->AppendVertexSample(station, "bikes",
-                                         from + static_cast<Timestamp>(i) * 60,
-                                         static_cast<double>(i))
+    ASSERT_TRUE(live->AppendSample({true, station, "bikes"},
+                                   from + static_cast<Timestamp>(i) * 60,
+                                   static_cast<double>(i))
                     .ok());
   }
 }
@@ -132,7 +132,7 @@ void RunPinnedViewFrozenUnderConcurrentMutation(QueryBackend* live) {
                       })
                       .ok());
       ASSERT_TRUE(
-          live->AppendVertexSample(station, "bikes", t, 1.0).ok());
+          live->AppendSample({true, station, "bikes"}, t, 1.0).ok());
       t += 60;
     }
   });
@@ -171,9 +171,9 @@ TEST(SnapshotIsolationTest, DurableForwardsPinnedView) {
   ASSERT_TRUE(v.ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(store
-                    .AppendVertexSample(*v, "bikes",
-                                        static_cast<Timestamp>(i) * 60,
-                                        static_cast<double>(i))
+                    .AppendSample({true, *v, "bikes"},
+                                  static_cast<Timestamp>(i) * 60,
+                                  static_cast<double>(i))
                     .ok());
   }
 
@@ -181,7 +181,7 @@ TEST(SnapshotIsolationTest, DurableForwardsPinnedView) {
   ASSERT_NE(snapshot, nullptr);
   const std::string pinned = Signature(*snapshot);
 
-  ASSERT_TRUE(store.AppendVertexSample(*v, "bikes", 6000, 99.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, *v, "bikes"}, 6000, 99.0).ok());
   auto v2 = store.AddVertex({"Station"}, {{"name", Value("S1")}});
   ASSERT_TRUE(v2.ok());
 
@@ -204,11 +204,11 @@ void RunSnapshotIsReadOnly(QueryBackend* live) {
   // exactly what a buggy caller could do, so the runtime guard must hold.
   auto* writable = const_cast<QueryBackend*>(snapshot.get());
 
-  Status append = writable->AppendVertexSample(stations->front(), "bikes",
-                                               dataset.end(), 1.0);
+  Status append = writable->AppendSample({true, stations->front(), "bikes"},
+                                         dataset.end(), 1.0);
   EXPECT_EQ(append.code(), StatusCode::kFailedPrecondition)
       << append.ToString();
-  Status edge_append = writable->AppendEdgeSample(0, "trips", 0, 1.0);
+  Status edge_append = writable->AppendSample({false, 0, "trips"}, 0, 1.0);
   EXPECT_EQ(edge_append.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(writable->mutable_topology(), nullptr);
   Status mutate = writable->MutateTopology([](graph::PropertyGraph*) {
@@ -358,7 +358,7 @@ std::unique_ptr<PolyglotStore> StoreWithSeries(
                   })
                   .ok());
   for (graph::VertexId v : *sensors) {
-    EXPECT_TRUE(store->AppendVertexSample(v, "temp", 0, 1.0).ok());
+    EXPECT_TRUE(store->AppendSample({true, v, "temp"}, 0, 1.0).ok());
   }
   return store;
 }
@@ -382,7 +382,7 @@ uint64_t LocksAfterWrites(PolyglotStore* store,
                           size_t k, Timestamp t) {
   EXPECT_NE(store->BeginSnapshot(), nullptr);
   for (size_t i = 0; i < k; ++i) {
-    EXPECT_TRUE(store->AppendVertexSample(sensors[i], "temp", t, 2.0).ok());
+    EXPECT_TRUE(store->AppendSample({true, sensors[i], "temp"}, t, 2.0).ok());
   }
   return SnapshotLocks(*store);
 }
@@ -434,7 +434,7 @@ TEST(SnapshotCostTest, InOrderAppendsCopyNothingWhileSnapshotLive) {
                   .ok());
   // Chunks [0, 1000) and [1000, 2000) sealed, [2000, 3000) hot.
   for (Timestamp t = 0; t < 2500; t += 10) {
-    ASSERT_TRUE(store.AppendVertexSample(sensor, "temp", t, t * 0.5).ok());
+    ASSERT_TRUE(store.AppendSample({true, sensor, "temp"}, t, t * 0.5).ok());
   }
   std::shared_ptr<const QueryBackend> snapshot = store.BeginSnapshot();
   ASSERT_NE(snapshot, nullptr);
@@ -444,15 +444,131 @@ TEST(SnapshotCostTest, InOrderAppendsCopyNothingWhileSnapshotLive) {
   const uint64_t cow_before = cow->value();
 
   for (Timestamp t = 2500; t < 3000; t += 10) {
-    ASSERT_TRUE(store.AppendVertexSample(sensor, "temp", t, t * 0.5).ok());
+    ASSERT_TRUE(store.AppendSample({true, sensor, "temp"}, t, t * 0.5).ok());
   }
   EXPECT_EQ(cow->value(), cow_before);
   EXPECT_EQ(Signature(*snapshot), pinned);
 
-  ASSERT_TRUE(store.AppendVertexSample(sensor, "temp", 2005, -1.0).ok());
+  ASSERT_TRUE(store.AppendSample({true, sensor, "temp"}, 2005, -1.0).ok());
   EXPECT_EQ(cow->value(), cow_before + 1);
   EXPECT_EQ(Signature(*snapshot), pinned);
   EXPECT_NE(Signature(store), pinned);
+}
+
+
+// A version is the store bound to what it pins: it shares the origin's
+// registry and instruments and builds none of its own, whatever was
+// written before the pin.
+void RunVersionsAddNoInstruments(QueryBackend* live) {
+  const auto dataset = Dataset();
+  auto stations = workloads::LoadIntoBackend(dataset, live);
+  ASSERT_TRUE(stations.ok());
+  ASSERT_NE(live->BeginSnapshot(), nullptr);
+  auto instruments = [&] {
+    const obs::MetricsSnapshot m = live->metrics()->Snapshot();
+    return m.counters.size() + m.gauges.size() + m.histograms.size();
+  };
+  const size_t before = instruments();
+  for (int i = 0; i < 1000; ++i) {
+    const query::SeriesSlot slot{true, stations->at(i % stations->size()),
+                                 "bikes"};
+    ASSERT_TRUE(live->AppendSample(slot, dataset.end() + i, 1.0).ok());
+    std::shared_ptr<const QueryBackend> version = live->BeginSnapshot();
+    ASSERT_NE(version, nullptr);
+    ASSERT_EQ(version->metrics(), live->metrics());
+  }
+  EXPECT_EQ(instruments(), before);
+}
+
+TEST(SnapshotCostTest, AllInGraphVersionsAddNoInstruments) {
+  AllInGraphStore store;
+  RunVersionsAddNoInstruments(&store);
+}
+
+TEST(SnapshotCostTest, PolyglotVersionsAddNoInstruments) {
+  PolyglotStore store;
+  RunVersionsAddNoInstruments(&store);
+}
+
+// Lock acquisitions (shared + exclusive) `read` takes on `registry`.
+template <typename Fn>
+uint64_t LocksOf(obs::MetricsRegistry* registry, Fn&& read) {
+  obs::Counter* shared = registry->counter("concurrency.lock_shared");
+  obs::Counter* exclusive = registry->counter("concurrency.lock_exclusive");
+  const uint64_t before = shared->value() + exclusive->value();
+  read();
+  return shared->value() + exclusive->value() - before;
+}
+
+// The lock acquisitions of one read of each kind through a pinned version,
+// in the order range, aggregate, batch aggregate, window, count,
+// correlate, and an HGQL statement.
+std::vector<uint64_t> VersionReadLocks(QueryBackend* live) {
+  const auto dataset = Dataset();
+  auto stations = workloads::LoadIntoBackend(dataset, live);
+  EXPECT_TRUE(stations.ok());
+  std::shared_ptr<const QueryBackend> version = live->BeginSnapshot();
+  EXPECT_NE(version, nullptr);
+  const query::SeriesSlot slot{true, stations->front(), "bikes"};
+  std::vector<query::SeriesSlot> slots;
+  for (graph::VertexId v : *stations) slots.push_back({true, v, "bikes"});
+  const Interval all = Interval::All();
+  const ts::Series anchor = dataset.stations[1].bikes;
+  obs::MetricsRegistry* registry = live->metrics();
+  return {
+      LocksOf(registry,
+              [&] { EXPECT_TRUE(version->SeriesRange(slot, all).ok()); }),
+      LocksOf(registry,
+              [&] {
+                EXPECT_TRUE(
+                    version->SeriesAggregate(slot, all, AggKind::kSum).ok());
+              }),
+      LocksOf(registry,
+              [&] {
+                EXPECT_EQ(
+                    version->SeriesAggregateBatch(slots, all, AggKind::kAvg)
+                        .size(),
+                    slots.size());
+              }),
+      LocksOf(registry,
+              [&] {
+                EXPECT_TRUE(version
+                                ->SeriesWindowAggregate(slot, all, 6 * kHour,
+                                                        AggKind::kMax)
+                                .ok());
+              }),
+      LocksOf(registry,
+              [&] {
+                EXPECT_TRUE(
+                    version->SeriesCountInRange(slot, all, 0, 20).ok());
+              }),
+      LocksOf(registry,
+              [&] {
+                EXPECT_TRUE(
+                    version->CorrelateSeriesRange(slot, all, anchor).ok());
+              }),
+      LocksOf(registry,
+              [&] {
+                EXPECT_TRUE(query::Execute(*version,
+                                           "MATCH (s:Station) RETURN s.name, "
+                                           "ts_avg(s.bikes, 0, 99999999999999)")
+                                .ok());
+              }),
+  };
+}
+
+TEST(SnapshotCostTest, AllInGraphVersionReadsTakeNoLock) {
+  AllInGraphStore store;
+  EXPECT_EQ(VersionReadLocks(&store),
+            (std::vector<uint64_t>{0, 0, 0, 0, 0, 0, 0}));
+}
+
+// One shard lock per series read (to copy the visible prefix of its hot
+// chunk, the dataset's only chunk); the store guard is never taken.
+TEST(SnapshotCostTest, PolyglotVersionReadsTakeOnlyShardLocks) {
+  PolyglotStore store;
+  EXPECT_EQ(VersionReadLocks(&store),
+            (std::vector<uint64_t>{1, 1, 8, 1, 1, 1, 8}));
 }
 
 }  // namespace

@@ -154,17 +154,19 @@ TEST_F(StreamedCorrelationPropertyTest, EveryEngineMatchesTheMaterializedAnswer)
     // cold; what follows stays in RAM, sealed or (newest) hot.
     auto ingest = [&](bool before_split) {
       for (int v = 0; v < kVertices; ++v) {
+        const query::SeriesSlot x{true, static_cast<uint64_t>(v), "x"};
+        const query::SeriesSlot w{false, static_cast<uint64_t>(v), "w"};
         for (const ts::Sample& s : vertex_series[v].samples()) {
           if ((s.t < kSplit) != before_split) continue;
-          ASSERT_TRUE(graph_store.AppendVertexSample(v, "x", s.t, s.value).ok());
-          ASSERT_TRUE(ram.AppendVertexSample(v, "x", s.t, s.value).ok());
-          ASSERT_TRUE(tiered.AppendVertexSample(v, "x", s.t, s.value).ok());
+          ASSERT_TRUE(graph_store.AppendSample(x, s.t, s.value).ok());
+          ASSERT_TRUE(ram.AppendSample(x, s.t, s.value).ok());
+          ASSERT_TRUE(tiered.AppendSample(x, s.t, s.value).ok());
         }
         for (const ts::Sample& s : edge_series[v].samples()) {
           if ((s.t < kSplit) != before_split) continue;
-          ASSERT_TRUE(graph_store.AppendEdgeSample(v, "w", s.t, s.value).ok());
-          ASSERT_TRUE(ram.AppendEdgeSample(v, "w", s.t, s.value).ok());
-          ASSERT_TRUE(tiered.AppendEdgeSample(v, "w", s.t, s.value).ok());
+          ASSERT_TRUE(graph_store.AppendSample(w, s.t, s.value).ok());
+          ASSERT_TRUE(ram.AppendSample(w, s.t, s.value).ok());
+          ASSERT_TRUE(tiered.AppendSample(w, s.t, s.value).ok());
         }
       }
     };
@@ -271,7 +273,7 @@ class StreamedCorrelationWorkTest : public ::testing::Test {
       const Interval span = s == 0 ? anchor_span : Interval{0, 8 * kDay};
       for (Timestamp t = span.start; t < span.end; t += kSample) {
         const double value = 10.0 + s + static_cast<double>((t / kSample) % 7);
-        ASSERT_TRUE(store_.AppendVertexSample(v, "bikes", t, value).ok());
+        ASSERT_TRUE(store_.AppendSample({true, v, "bikes"}, t, value).ok());
       }
     }
   }

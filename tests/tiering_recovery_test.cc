@@ -84,10 +84,11 @@ class TieringRecoveryTest : public ::testing::TestWithParam<Arch> {
     ASSERT_TRUE(e0.ok()) << e0.status().ToString();
     ASSERT_TRUE(store->SetVertexProperty(*v1, "open", Value(true)).ok());
     for (int i = 0; i < 48; ++i) {
+      ASSERT_TRUE(store->AppendSample({true, *v0, "temp"}, i * 4,
+                                      20.0 + 0.25 * i)
+                      .ok());
       ASSERT_TRUE(
-          store->AppendVertexSample(*v0, "temp", i * 4, 20.0 + 0.25 * i).ok());
-      ASSERT_TRUE(
-          store->AppendEdgeSample(*e0, "load", i * 4, 0.5 * i).ok());
+          store->AppendSample({false, *e0, "load"}, i * 4, 0.5 * i).ok());
     }
   }
   // All eight aggregate kinds over the full axis for v0."temp" — the
@@ -95,8 +96,8 @@ class TieringRecoveryTest : public ::testing::TestWithParam<Arch> {
   static std::vector<double> AggVector(const DurableStore& store) {
     std::vector<double> out;
     for (int k = 0; k <= static_cast<int>(ts::AggKind::kLast); ++k) {
-      auto r = store.VertexSeriesAggregate(0, "temp", Interval::All(),
-                                           static_cast<ts::AggKind>(k));
+      auto r = store.SeriesAggregate({true, 0, "temp"}, Interval::All(),
+                                     static_cast<ts::AggKind>(k));
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       out.push_back(r.value_or(-1.0));
     }
@@ -191,8 +192,8 @@ TEST_P(TieringRecoveryTest, WalTailReplaysOntoAdoptedChunks) {
     // Post-checkpoint tail: an in-order append plus an out-of-order write
     // that lands inside a chunk the checkpoint just spilled cold — replay
     // must pin + unseal the adopted chunk to merge it.
-    ASSERT_TRUE(store->AppendVertexSample(0, "temp", 48 * 4, 99.0).ok());
-    ASSERT_TRUE(store->AppendVertexSample(0, "temp", 2, -7.5).ok());
+    ASSERT_TRUE(store->AppendSample({true, 0, "temp"}, 48 * 4, 99.0).ok());
+    ASSERT_TRUE(store->AppendSample({true, 0, "temp"}, 2, -7.5).ok());
     before = Signature(*store->inner());
   }
   auto store = MakeStore();
@@ -214,7 +215,7 @@ TEST_P(TieringRecoveryTest, RepeatedCheckpointsKeepOneCatalog) {
   const std::string before = Signature(*store->inner());
   // A checkpoint with nothing new to spill is a cheap no-op re-snapshot.
   ASSERT_TRUE(store->Checkpoint().ok());
-  ASSERT_TRUE(store->AppendVertexSample(0, "temp", 48 * 4, 99.0).ok());
+  ASSERT_TRUE(store->AppendSample({true, 0, "temp"}, 48 * 4, 99.0).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
   if (Hypertable(store.get()) != nullptr) {
     // Catalog GC keeps exactly the one paired with the live snapshot.
@@ -223,7 +224,7 @@ TEST_P(TieringRecoveryTest, RepeatedCheckpointsKeepOneCatalog) {
   }
   auto reopened = MakeStore();
   ASSERT_TRUE(reopened->Open().ok());
-  auto range = reopened->VertexSeriesRange(0, "temp", Interval::All());
+  auto range = reopened->SeriesRange({true, 0, "temp"}, Interval::All());
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(range->samples().size(), 49u);
   // The pre-tail signature is a strict prefix of the recovered state's
@@ -272,11 +273,11 @@ TEST_P(TieringRecoveryTest, WarmCacheServesRepeatScansFromRam) {
   if (Hypertable(store.get()) == nullptr) return;  // no tier to exercise
   // Range scans (unlike whole-chunk aggregates, which are answered from
   // cached AggStates without touching the tier) pin every cold chunk.
-  auto first = store->VertexSeriesRange(0, "temp", Interval::All());
+  auto first = store->SeriesRange({true, 0, "temp"}, Interval::All());
   ASSERT_TRUE(first.ok());
   const auto after_first = store->cold_tier()->cache_stats();
   EXPECT_GT(after_first.misses, 0u);
-  auto second = store->VertexSeriesRange(0, "temp", Interval::All());
+  auto second = store->SeriesRange({true, 0, "temp"}, Interval::All());
   ASSERT_TRUE(second.ok());
   ASSERT_EQ(second->samples().size(), first->samples().size());
   const auto after_second = store->cold_tier()->cache_stats();
@@ -363,7 +364,8 @@ TEST_P(TieringRecoveryTest, CrashedCheckpointSegmentFilesAreCollected) {
       auto store = MakeStore();
       ASSERT_TRUE(store->Open().ok());
       for (int i = 48; i < 96; ++i) {
-        ASSERT_TRUE(store->AppendVertexSample(0, "temp", i * 4, 1.0 * i).ok());
+        ASSERT_TRUE(
+            store->AppendSample({true, 0, "temp"}, i * 4, 1.0 * i).ok());
       }
       env_->SetCrashAfter(k);
       const Status s = store->Checkpoint();
@@ -416,8 +418,8 @@ TEST_P(TieringRecoveryTest, RetainedSegmentFileIsCollectedAfterRestart) {
     // Keep only the hot newest chunk of each series: every cold chunk goes.
     const Interval keep{47 * 4, kMaxTimestamp};
     for (const bool vertex : {true, false}) {
-      auto sid = store->inner()->EnsureSeries(vertex, 0, vertex ? "temp"
-                                                                : "load");
+      auto sid =
+          store->inner()->EnsureSeries({vertex, 0, vertex ? "temp" : "load"});
       ASSERT_TRUE(sid.ok()) << sid.status().ToString();
       ASSERT_TRUE(Hypertable(store.get())->Retain(*sid, keep).ok());
     }
@@ -442,7 +444,7 @@ TEST_P(TieringRecoveryTest, CrashMidIngestRecoversAcknowledgedPrefix) {
     // every OK append is a durability promise the recovery must keep.
     env_->SetCrashAfter(37);
     for (int i = 0; i < 64; ++i) {
-      const Status s = store->AppendVertexSample(*v0, "temp", i * 4, 1.5 * i);
+      const Status s = store->AppendSample({true, *v0, "temp"}, i * 4, 1.5 * i);
       if (!s.ok()) break;
       oracle.emplace_back(i * 4, 1.5 * i);
     }
@@ -458,7 +460,7 @@ TEST_P(TieringRecoveryTest, CrashMidIngestRecoversAcknowledgedPrefix) {
   env_->Revive();
   auto store = MakeStore();
   ASSERT_TRUE(store->Open().ok());
-  auto range = store->VertexSeriesRange(0, "temp", Interval::All());
+  auto range = store->SeriesRange({true, 0, "temp"}, Interval::All());
   ASSERT_TRUE(range.ok()) << range.status().ToString();
   ASSERT_EQ(range->samples().size(), oracle.size());
   for (size_t i = 0; i < oracle.size(); ++i) {
@@ -541,7 +543,7 @@ TEST_P(TieringRecoveryTest, MissingCatalogOpensAsPreTieringCheckpoint) {
   ASSERT_TRUE(store->Open().ok());
   EXPECT_TRUE(store->recovery().snapshot_loaded);
   EXPECT_EQ(store->recovery().cold_chunks_adopted, 0u);
-  auto range = store->VertexSeriesRange(0, "temp", Interval::All());
+  auto range = store->SeriesRange({true, 0, "temp"}, Interval::All());
   ASSERT_TRUE(range.ok());
   EXPECT_GT(range->samples().size(), 0u);  // the hot tail is still there
 }
@@ -561,7 +563,7 @@ TEST_P(TieringRecoveryTest, SurvivesProbabilisticTransientFaults) {
     // append fails, the first WAL-rebuild attempt fails, the second
     // rebuild heals — all invisible to the caller.
     env_->SetTransientFailNext(2);
-    ASSERT_TRUE(store->AppendVertexSample(0, "temp", 48 * 4, 99.0).ok());
+    ASSERT_TRUE(store->AppendSample({true, 0, "temp"}, 48 * 4, 99.0).ok());
     EXPECT_GE(env_->transient_faults(), 2u);
     // A low-rate probabilistic stream across the whole tiered checkpoint
     // (segment spill, segment fsync, catalog install, snapshot, GC, WAL
