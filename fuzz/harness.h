@@ -19,7 +19,9 @@ namespace hygraph::fuzz {
 /// the deterministic corpus replay in tests/fuzz_corpus_test.cc, so the
 /// harnesses cannot rot independently of the test suite.
 
-/// storage::ReadWal + TruncateWalToValidPrefix over an in-memory file.
+/// storage::ReadWal + TruncateWalToValidPrefix over an in-memory file,
+/// then DurableStore recovery (record parsing and replay) over the same
+/// bytes as a store's log.
 void FuzzWalReader(const uint8_t* data, size_t size);
 
 /// core::Deserialize, plus a Serialize/Deserialize fixed-point check on

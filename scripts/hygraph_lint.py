@@ -60,6 +60,11 @@ them. The current rules (see DESIGN.md §12 "Static analysis"):
                   one class per engine, whose published version is the same
                   class bound to it (DESIGN.md §10), so each series
                   operation is written once per engine.
+  double-format   no `%.17g` formatter in src/ outside core/serialize.cc
+                  and obs/metrics.cc — round-trippable doubles go through
+                  core::FormatDouble, so snapshots and WAL records share one
+                  text codec. obs/ is exempt: it sits below core in the
+                  layering and formats /metrics samples itself.
   unranked-lock   every hygraph::Mutex / SharedMutex member declaration in
                   src/ must be constructed with a LockRank (on the
                   declaration, or where the member is initialized in the
@@ -109,6 +114,10 @@ ENV_HOME = Path("src/storage/env.cc")
 BACKEND_HOMES = (Path("src/storage/all_in_graph.h"),
                  Path("src/storage/polyglot.h"),
                  Path("src/storage/durable.h"))
+# The homes of round-trippable double formatting: the text codec and, below
+# core in the layering, the /metrics exposition.
+DOUBLE_FORMAT_HOMES = (Path("src/core/serialize.cc"),
+                       Path("src/obs/metrics.cc"))
 
 RAW_SLEEP_ALLOW = "NOLINT(hygraph-raw-sleep)"
 RAW_THREAD_ALLOW = "NOLINT(hygraph-raw-thread)"
@@ -214,9 +223,11 @@ def rule(name: str, scope: str):
     return wrap
 
 
-def strip_comments_and_strings(lines: list[str]) -> list[str]:
+def strip_comments_and_strings(lines: list[str],
+                               keep_strings: bool = False) -> list[str]:
     """Blanks out comments and string/char literal contents, preserving line
-    structure, so token checks do not fire on prose or quoted text."""
+    structure, so token checks do not fire on prose or quoted text. With
+    `keep_strings`, literal contents stay and only comments go."""
     out = []
     in_block_comment = False
     for line in lines:
@@ -243,14 +254,14 @@ def strip_comments_and_strings(lines: list[str]) -> list[str]:
                 result.append(quote)
                 i += 1
                 while i < n:
-                    if line[i] == "\\":
-                        i += 2
-                        continue
-                    if line[i] == quote:
+                    step = 2 if line[i] == "\\" else 1
+                    if step == 1 and line[i] == quote:
                         result.append(quote)
                         i += 1
                         break
-                    i += 1
+                    if keep_strings:
+                        result.append(line[i:i + step])
+                    i += step
                 continue
             result.append(c)
             i += 1
@@ -427,6 +438,20 @@ def check_backend_subclass(tree: Tree, report) -> None:
                        "storage/durable.h may derive from query::QueryBackend:"
                        " a published version is its engine's class bound to "
                        "the version, not a second class")
+
+
+@rule("double-format", "src/ outside core/serialize.cc and obs/metrics.cc")
+def check_double_format(tree: Tree, report) -> None:
+    for f in tree.files:
+        if f.rel.parts[0] != "src" or f.rel in DOUBLE_FORMAT_HOMES:
+            continue
+        code = strip_comments_and_strings(f.raw, keep_strings=True)
+        for lineno, code_line in enumerate(code, 1):
+            if "%.17g" in code_line:
+                report(f.rel, lineno, "double-format",
+                       "format round-trippable doubles with "
+                       "core::FormatDouble (core/serialize.h), so snapshots "
+                       "and WAL records share one text codec")
 
 
 @rule("naked-new", "library code (src/, fuzz/)")

@@ -76,8 +76,7 @@ Result<ts::Series> QueryBackend::SeriesWindowAggregate(
     ts::AggKind kind) const {
   auto series = SeriesRange(slot, interval);
   if (!series.ok()) return series.status();
-  return ts::WindowAggregate(*series, interval.Intersect(series->TimeSpan()),
-                             width, kind);
+  return ts::WindowAggregate(*series, interval, width, kind);
 }
 
 Result<size_t> QueryBackend::SeriesCountInRange(const SeriesSlot& slot,

@@ -14,6 +14,10 @@
 #include "storage/segment/segment_store.h"
 #include "storage/wal.h"
 
+namespace hygraph::core {
+class Cursor;
+}  // namespace hygraph::core
+
 namespace hygraph::storage {
 
 /// Storage tiering: spill sealed chunks to a disk-backed cold tier at
@@ -251,11 +255,22 @@ class DurableStore final : public query::QueryBackend {
   /// duplicate it, which replay rejects as corruption).
   Status RebuildWalAndAppend(const std::string& record)
       HYGRAPH_REQUIRES(append_mu_);
+  /// Writes `records` to a fresh wal.tmp, syncs it and renames it over
+  /// wal.log; the new file becomes the live writer.
+  Status InstallWal(const std::vector<std::string>& records)
+      HYGRAPH_REQUIRES(append_mu_);
   /// Checkpoint body with latency recording.
   Status TimedCheckpoint() HYGRAPH_REQUIRES(append_mu_);
   Status CheckpointImpl() HYGRAPH_REQUIRES(append_mu_);
   Status Log(const std::string& body) HYGRAPH_REQUIRES(append_mu_);
-  Status ApplyRecord(const std::string& record);
+  /// The durability contract of every mutation whose record is known
+  /// before it runs: under the append mutex, check writability, log
+  /// `body`, then `apply()` it, then checkpoint when due. A record whose
+  /// application fails replays as the same failure.
+  template <typename Apply>
+  Status LogThenApply(const std::string& body, Apply apply);
+  /// Replays one record; `cursor` stands after its sequence number.
+  Status ApplyRecord(core::Cursor* cursor);
   void MaybeAutoCheckpoint() HYGRAPH_REQUIRES(append_mu_);
   std::string WalPath() const { return dir_ + "/wal.log"; }
   std::string SnapshotPath(uint64_t seq) const {

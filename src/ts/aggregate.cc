@@ -132,7 +132,7 @@ Result<Series> SlidingAggregate(const Series& series, const Interval& interval,
   if (anchor == kMinTimestamp) {
     anchor = span.start;
   } else if (anchor < span.start) {
-    anchor += (span.start - anchor) / step * step;
+    anchor = GridFloor(anchor, span.start, step);
   }
   auto [lo, hi] = series.RangeIndices(span);
   size_t cursor = lo;

@@ -56,6 +56,15 @@ Result<double> Aggregate(const Series& series, const Interval& interval,
 Result<Series> WindowAggregate(const Series& series, const Interval& interval,
                                Duration width, AggKind kind);
 
+/// Start of the window holding `t` on the grid of `step`-wide windows
+/// anchored at `anchor` <= t. Exact even when t - anchor exceeds INT64_MAX
+/// (an interval opening far below the data).
+inline Timestamp GridFloor(Timestamp anchor, Timestamp t, Duration step) {
+  const uint64_t offset =
+      static_cast<uint64_t>(t) - static_cast<uint64_t>(anchor);
+  return t - static_cast<Timestamp>(offset % static_cast<uint64_t>(step));
+}
+
 /// Sliding-window aggregation with window `width` and step `step`; windows
 /// are [t, t+width) for t = interval.start, start+step, ... Output samples
 /// are stamped at the window start.

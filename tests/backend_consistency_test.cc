@@ -173,6 +173,28 @@ TEST_F(BackendConsistencyTest, WindowAggregate) {
                    std::to_string(kDay) + ", 'avg', 'max') AS peak");
 }
 
+// Both engines anchor the window grid at the interval's start, not at the
+// first sample inside it: windows [5,30) [30,55) [55,80) [80,105) average
+// 15, 40, 65 and 90.
+TEST(WindowGridTest, EnginesAnchorTheGridAtTheIntervalStart) {
+  storage::AllInGraphStore all_in_graph;
+  storage::PolyglotStore polyglot;
+  for (query::QueryBackend* store :
+       {static_cast<query::QueryBackend*>(&all_in_graph),
+        static_cast<query::QueryBackend*>(&polyglot)}) {
+    const graph::VertexId v = store->mutable_topology()->AddVertex({"S"}, {});
+    for (Timestamp t = 0; t <= 100; t += 10) {
+      ASSERT_TRUE(store->AppendSample({true, v, "x"}, t, double(t)).ok());
+    }
+    auto r = query::Execute(
+        *store,
+        "MATCH (s:S) RETURN ts_window_agg(s.x, 5, 200, 25, 'avg', 'max')");
+    ASSERT_TRUE(r.ok()) << store->name() << ": " << r.status().ToString();
+    ASSERT_EQ(r->row_count(), 1u);
+    EXPECT_EQ(r->rows[0][0], Value(90.0)) << store->name();
+  }
+}
+
 // DurableStore adds the WAL in front of writes; reads, including the batch
 // and pushed-down count primitives, must reach the wrapped store unchanged
 // instead of falling back to the QueryBackend defaults (per-entity loops,

@@ -34,6 +34,7 @@ EXPECTED = {
     ("src/common/thread_bad.cc", 3, "raw-thread"),
     ("src/obs/layering_bad.h", 4, "layering"),
     ("src/server/socket_bad.cc", 3, "raw-socket"),
+    ("src/storage/double_format_bad.cc", 5, "double-format"),
     ("src/storage/fileio_bad.cc", 3, "raw-file-io"),
     ("src/storage/snapshot_bad.cc", 5, "backend-subclass"),
     ("src/storage/unranked_bad.h", 10, "unranked-lock"),

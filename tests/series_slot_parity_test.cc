@@ -135,17 +135,10 @@ std::vector<Interval> Intervals(const workloads::BikeSharingDataset& d) {
           Interval{d.start() - 2 * kDay, d.start() - kDay}};
 }
 
-// Windows over an interval that starts between samples are compared within
-// an engine only: there the all-in-graph default anchors its grid at the
-// first sample in range and the hypertable at the interval's start.
-constexpr char kUnalignedWindow[] = "unaligned window ";
-
 Readings Read(const QueryBackend& b, const workloads::BikeSharingDataset& d) {
   const std::vector<SeriesSlot> slots = SlotsToRead(d);
   Readings out;
   for (const Interval& interval : Intervals(d)) {
-    const bool unaligned =
-        interval.start == d.start() + 7 * kHour + 5 * kMinute;
     const ts::Series vertex_anchor = d.stations[0].bikes.Slice(interval);
     const ts::Series edge_anchor = d.trips[0].daily_trips.Slice(interval);
     for (const SeriesSlot& slot : slots) {
@@ -159,8 +152,7 @@ Readings Read(const QueryBackend& b, const workloads::BikeSharingDataset& d) {
       for (Duration width : {6 * kHour, 2 * kDay}) {
         for (AggKind kind : {AggKind::kAvg, AggKind::kMax, AggKind::kCount}) {
           out.push_back(FromSeries(
-              (unaligned ? kUnalignedWindow : "window ") +
-                  std::to_string(width) + " " +
+              "window " + std::to_string(width) + " " +
                   ts::AggKindName(kind) + " " + at,
               b.SeriesWindowAggregate(slot, interval, width, kind)));
         }
@@ -242,22 +234,13 @@ void ExpectBitIdentical(const Readings& want, const Readings& got,
 
 void ExpectClose(const Readings& want, const Readings& got,
                  const std::string& view) {
-  auto comparable = [](const Readings& readings) {
-    Readings out;
-    for (const Outcome& o : readings) {
-      if (o.op.rfind(kUnalignedWindow, 0) != 0) out.push_back(o);
-    }
-    return out;
-  };
-  const Readings a = comparable(want);
-  const Readings b = comparable(got);
-  ExpectSameOps(a, b, view);
+  ExpectSameOps(want, got, view);
   if (::testing::Test::HasFatalFailure()) return;
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < a[i].values.size(); ++j) {
-      const double x = a[i].values[j];
-      EXPECT_NEAR(x, b[i].values[j], 1e-9 * (1.0 + std::abs(x)))
-          << view << ": " << a[i].op << " value " << j;
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t j = 0; j < want[i].values.size(); ++j) {
+      const double x = want[i].values[j];
+      EXPECT_NEAR(x, got[i].values[j], 1e-9 * (1.0 + std::abs(x)))
+          << view << ": " << want[i].op << " value " << j;
     }
   }
 }

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
+#include "storage/durable.h"
 #include "storage/env.h"
+#include "storage/polyglot.h"
 
 namespace hygraph::storage {
 namespace {
@@ -145,6 +149,76 @@ TEST_F(WalTest, TruncateWalToValidPrefixDropsTornTail) {
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(reread->records, read->records);
   EXPECT_FALSE(reread->torn_tail);
+}
+
+// Pins the WAL's text format: one record of each op, carrying strings and
+// numbers the field codec must escape or spell exactly. Logs written before
+// a change to any of these bytes would no longer replay.
+TEST_F(WalTest, RecordPayloadsAreByteStable) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kDenormal = std::numeric_limits<double>::denorm_min();
+  const double kLargest = 1.7976931348623157e308;
+  const std::string kUtf8 = "Z\xC3\xBCrich";
+  {
+    DurableOptions options;
+    options.sync_wal = false;
+    DurableStore store(env_, dir_, std::make_unique<PolyglotStore>(),
+                       options);
+    ASSERT_TRUE(store.Open().ok());
+    auto a = store.AddVertex(
+        {"two words", "line\nbreak", "100%", "", kUtf8},
+        {{"", Value("")},
+         {"nan", Value(kNaN)},
+         {"+inf", Value(kInf)},
+         {"-inf", Value(-kInf)},
+         {"-zero", Value(-0.0)},
+         {"denormal", Value(kDenormal)},
+         {"largest", Value(kLargest)},
+         {"int_min", Value(std::numeric_limits<int64_t>::min())},
+         {"int_max", Value(std::numeric_limits<int64_t>::max())},
+         {"flag", Value(true)},
+         {"none", Value()},
+         {"text", Value("a b\n%" + kUtf8)}});
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    auto b = store.AddVertex({}, {});
+    ASSERT_TRUE(b.ok());
+    auto e = store.AddEdge(*a, *b, "rides to", {{"w", Value(false)}});
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    ASSERT_TRUE(store.SetVertexProperty(*b, "k ey%", Value(-kInf)).ok());
+    ASSERT_TRUE(store.SetEdgeProperty(*e, kUtf8, Value("\n")).ok());
+    ASSERT_TRUE(store.AppendSample({true, *a, "bikes %"}, -5, -0.0).ok());
+    ASSERT_TRUE(
+        store.AppendSample({false, *e, kUtf8}, 1700000000000, kDenormal)
+            .ok());
+    ASSERT_TRUE(store.RemoveEdge(*e).ok());
+    ASSERT_TRUE(store.RemoveVertex(*b).ok());
+  }
+  auto read = ReadWal(env_, Path("wal.log"));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const std::vector<std::string> expected = {
+      "1 NV 0 L 5 two%20words line%0Abreak 100%25 %00 Z\xC3\xBCrich P 12 "
+      "%00 s:%00 +inf d:inf -inf d:-inf -zero d:-0 "
+      "denormal d:4.9406564584124654e-324 flag b:1 "
+      "int_max i:9223372036854775807 int_min i:-9223372036854775808 "
+      "largest d:1.7976931348623157e+308 nan d:nan none n "
+      "text s:a%20b%0A%25Z\xC3\xBCrich",
+      "2 NV 1 L 0 P 0",
+      "3 NE 0 0 1 rides%20to P 1 w b:0",
+      "4 SV 1 k%20ey%25 d:-inf",
+      "5 SE 0 Z\xC3\xBCrich s:%0A",
+      "6 AV 0 bikes%20%25 -5 -0",
+      "7 AE 0 Z\xC3\xBCrich 1700000000000 4.9406564584124654e-324",
+      "8 RE 0",
+      "9 RV 1",
+  };
+  EXPECT_EQ(read->records, expected);
+
+  // And the log replays as written.
+  DurableStore reopened(env_, dir_, std::make_unique<PolyglotStore>());
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.recovery().wal_records_replayed, expected.size());
+  EXPECT_EQ(reopened.recovery().wal_replay_failures, 0u);
 }
 
 }  // namespace
